@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import sectorfem as sf
 from sectorfem import fem
+from sectorfem.contour import make_contour
 from sectorfem.mesh import EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh, triangle_areas
 
 BETA = 2.0 / 3.0
@@ -225,6 +227,80 @@ def test_solve_complex_conjugation_symmetry(assembled_cache):
     x = fem.solve_complex_symmetric(z, M, S, b)
     xc = fem.solve_complex_symmetric(np.conj(z), M, S, np.conj(b))
     assert np.max(np.abs(xc - np.conj(x))) < 1e-12
+
+
+def test_project_matches_direct_mass_solve(assembled_cache):
+    msh, dm, M, _ = assembled_cache(2 ** -4, 3.0, fem.MIXED, 1.0)
+    u0 = sf.example2(0.5).u0
+    x = fem.l2_project(msh, dm, u0)
+    ref = fem.solve_real_spd(M, fem.assemble_load(msh, dm, u0))
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cg_result", [
+    lambda x, b: (x, 5),              # CG reports non-convergence
+    lambda x, b: (x + 1e-3 * b, 0),   # CG claims success, residual is off
+])
+def test_project_cg_failure_raises(monkeypatch, mesh_cache, cg_result):
+    msh = mesh_cache(2 ** -3, 3.0)
+    dm = sf.build_dofmap(msh, fem.MIXED)
+    real_cg = spla.cg
+
+    def fake_cg(A, b, **kwargs):
+        return cg_result(real_cg(A, b, **kwargs)[0], b)
+
+    monkeypatch.setattr(fem.spla, "cg", fake_cg)
+    with pytest.raises(fem.SolverError, match="L2 projection"):
+        fem.l2_project(msh, dm, sf.example2(0.5).u0)
+
+
+@pytest.mark.parametrize("bc_kind", [fem.DIRICHLET, fem.MIXED])
+@pytest.mark.parametrize("alpha", [0.05, 0.95])
+@pytest.mark.parametrize("t", [1e-3, 1e3])
+def test_solve_complex_every_contour_node_matches_default_lu(assembled_cache, bc_kind,
+                                                             alpha, t):
+    msh, dm, M, S = assembled_cache(2 ** -3, 3.0, bc_kind, 1.0)
+    rng = np.random.default_rng(11)
+    data = M @ (rng.standard_normal(dm.n_dofs) + 1j * rng.standard_normal(dm.n_dofs))
+    for z in make_contour(20, t).nodes:
+        za = complex(z) ** alpha
+        b = complex(z) ** (alpha - 1.0) * data
+        x = fem.solve_complex_symmetric(za, M, S, b)
+        A = (za * M + S).astype(complex)
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+        ref = spla.splu(sp.csc_matrix(A)).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+class _CountingLU:
+    """SuperLU proxy that counts solves and can spoil the first one."""
+
+    def __init__(self, lu, spoil):
+        self.lu, self.spoil, self.solves = lu, spoil, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        x = self.lu.solve(rhs)
+        return x * (1.0 + 1e-6) if self.spoil and self.solves == 1 else x
+
+
+@pytest.mark.parametrize("spoil, solves", [(False, 1), (True, 2)])
+def test_refinement_runs_only_when_residual_misses_contract(monkeypatch, assembled_cache,
+                                                            spoil, solves):
+    msh, dm, M, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
+    made = []
+    real_splu = spla.splu
+
+    def splu(A, **kwargs):
+        made.append(_CountingLU(real_splu(A, **kwargs), spoil))
+        return made[-1]
+
+    monkeypatch.setattr(fem.spla, "splu", splu)
+    b = np.ones(dm.n_dofs, dtype=complex)
+    z = 2.0 + 3.0j
+    x = fem.solve_complex_symmetric(z, M, S, b)
+    assert made[0].solves == solves
+    assert np.linalg.norm((z * M + S) @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_solver_error_carries_residual():
