@@ -105,13 +105,18 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
 
     Projects the initial data onto the FE space, solves the complex system
     at the M+1 nodes of the contour for time t, and reassembles the real
-    nodal vector.  Each evaluation costs exactly M+1 complex solves.
+    nodal vector.  Each evaluation costs exactly M+1 complex solves.  With a
+    source, the mesh-only load quadrature is built once per evolve and only
+    the transformed field ``problem.fhat(z)`` is evaluated and reduced at
+    each node.
     """
     params = make_contour(M, t)
     u0h = fem.l2_project(mesh, dofmap, problem.u0, quad_degree)
     if problem.fhat is not None:
+        source = fem.LoadQuadrature(mesh, dofmap, quad_degree)
+
         def fhat_load(z):
-            return fem.assemble_load(mesh, dofmap, problem.fhat(z), quad_degree)
+            return source.load(problem.fhat(z))
     else:
         fhat_load = None
 

@@ -18,6 +18,14 @@ gradients instead: the diagonally scaled P1 mass matrix has a condition
 number bounded independently of the mesh and its grading (Wathen, IMA J.
 Numer. Anal. 7, 1987).  It is held to the same 1e-10 residual contract.
 
+Load assembly is split in two.  ``LoadQuadrature`` is the mesh-only part:
+the corner-aware element groups, their quadrature points, element areas
+and free dofs.  Its ``load(g)`` evaluates a field at the held points and
+reduces it to a load vector; ``assemble_load`` is the set-up followed by
+one apply.  Every quadrature-point and reduction kernel is a single 2-D
+matrix product, which BLAS runs far faster than the equivalent
+three-operand einsum.
+
 Assembled matrices are immutable in practice (never modified after return)
 and each solve factors its own copy, so concurrent solves against shared
 matrices are safe.
@@ -26,13 +34,13 @@ matrices are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, triangle_origin_distances
+from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, triangle_areas, triangle_origin_distances
 
 DIRICHLET = "dirichlet"
 MIXED = "mixed"
@@ -184,17 +192,21 @@ def unconstrained_dofmap(mesh: Mesh) -> DofMap:
 
 def element_geometry(mesh: Mesh):
     """Per-element areas and constant P1 basis gradients."""
+    areas = triangle_areas(mesh)
     p = mesh.vertices[mesh.triangles]
-    d21 = p[:, 1] - p[:, 0]
-    d31 = p[:, 2] - p[:, 0]
-    area2 = d21[:, 0] * d31[:, 1] - d21[:, 1] * d31[:, 0]
     # grad of barycentric i is the inward normal of the opposite edge / 2A
     grads = np.empty((mesh.n_triangles, 3, 2))
     for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
         grads[:, i, 0] = p[:, a, 1] - p[:, b, 1]
         grads[:, i, 1] = p[:, b, 0] - p[:, a, 0]
-    grads /= area2[:, None, None]
-    return 0.5 * area2, grads
+    grads /= 2.0 * areas[:, None, None]
+    return areas, grads
+
+
+def quad_points(mesh: Mesh, ids: np.ndarray, pts: np.ndarray):
+    """Coordinates (x, y), each (e, q), of barycentric points ``pts`` (q, 3) on elements ``ids``."""
+    tri = mesh.triangles[ids]
+    return mesh.vertices[tri, 0] @ pts.T, mesh.vertices[tri, 1] @ pts.T
 
 
 def _scatter(mesh: Mesh, dofmap: DofMap, local: np.ndarray) -> sp.csr_array:
@@ -216,8 +228,7 @@ _MASS_BLOCK = np.array([[2.0, 1.0, 1.0],
 
 def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_array:
     """Mass matrix M_ij = integral of phi_i phi_j over the free basis."""
-    areas, _ = element_geometry(mesh)
-    local = areas[:, None, None] * _MASS_BLOCK
+    local = triangle_areas(mesh)[:, None, None] * _MASS_BLOCK
     return _scatter(mesh, dofmap, local)
 
 
@@ -255,36 +266,69 @@ def element_quad_points(mesh: Mesh, quad_degree: int, origin_degree: int | None 
     return groups
 
 
+class _LoadGroup(NamedTuple):
+    x: np.ndarray       # (e, q) quadrature point coordinates
+    y: np.ndarray
+    wpts: np.ndarray    # (q, 3) rule weights times barycentric points
+    areas: np.ndarray   # (e, 1) element areas
+    keep: np.ndarray    # (3e,) mask of the element-vertex slots holding a free dof
+    rows: np.ndarray    # free dofs of the kept slots
+
+
+class LoadQuadrature:
+    """Load assembly split into a mesh-only set-up and a per-field apply step.
+
+    The set-up runs once per (mesh, dofmap, quad_degree).  It keeps, for
+    each element group of :func:`element_quad_points`, the quadrature point
+    coordinates, the rule, the element areas and the free dofs.  ``load(g)``
+    then does only the work that depends on the field, so a caller that
+    assembles many loads on one mesh (one per contour node) builds the
+    quadrature once.
+    """
+
+    def __init__(self, mesh: Mesh, dofmap: DofMap, quad_degree: int = 4):
+        if not 2 <= quad_degree <= 6:
+            raise ValueError(f"load quadrature degree must be in 2..6, got {quad_degree}")
+        self.n_dofs = dofmap.n_dofs
+        areas = triangle_areas(mesh)
+        dofs = dofmap.vertex_to_dof[mesh.triangles]
+        self.groups = []
+        for ids, pts, w in element_quad_points(mesh, quad_degree):
+            x, y = quad_points(mesh, ids, pts)
+            d = dofs[ids].ravel()
+            keep = d >= 0
+            self.groups.append(_LoadGroup(x, y, w[:, None] * pts, areas[ids, None],
+                                          keep, d[keep]))
+
+    def load(self, g: Callable) -> np.ndarray:
+        """Load vector b_i = integral of g * phi_i; see :func:`assemble_load`."""
+        out = None
+        for grp in self.groups:
+            vals = np.asarray(g(grp.x, grp.y))
+            if not np.all(np.isfinite(vals)):
+                e, q = np.argwhere(~np.isfinite(vals))[0]
+                raise ValueError("load field returned non-finite value at "
+                                 f"({grp.x[e, q]:.6g}, {grp.y[e, q]:.6g})")
+            if out is None:
+                out = np.zeros(self.n_dofs, dtype=np.promote_types(vals.dtype, float))
+            elif vals.dtype.kind == "c" and out.dtype.kind != "c":
+                out = out.astype(complex)
+            # b_e[i] = area * sum_q w_q g(x_q) lambda_i(x_q)
+            be = grp.areas * (vals @ grp.wpts)
+            np.add.at(out, grp.rows, be.ravel()[grp.keep])
+        return out
+
+
 def assemble_load(mesh: Mesh, dofmap: DofMap, g: Callable, quad_degree: int = 4) -> np.ndarray:
     """Load vector b_i = integral of g * phi_i by symmetric triangle quadrature.
 
     ``g(x, y)`` must accept numpy arrays; complex-valued fields give a
     complex load vector.  Non-finite evaluations raise ValueError with the
-    offending location.
+    offending location.  Builds a :class:`LoadQuadrature` and applies it
+    once; callers assembling several fields on one mesh should keep the
+    quadrature and call its ``load`` instead.
     """
-    if not 2 <= quad_degree <= 6:
-        raise ValueError(f"load quadrature degree must be in 2..6, got {quad_degree}")
-    out = None
-    coords = mesh.vertices[mesh.triangles]
-    areas, _ = element_geometry(mesh)
-    dofs = dofmap.vertex_to_dof[mesh.triangles]
-    for ids, pts, w in element_quad_points(mesh, quad_degree):
-        xq = np.einsum("qb,ebd->eqd", pts, coords[ids])
-        vals = np.asarray(g(xq[..., 0], xq[..., 1]))
-        if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(vals))[0]
-            x, y = xq[bad[0], bad[1]]
-            raise ValueError(f"load field returned non-finite value at ({x:.6g}, {y:.6g})")
-        if out is None:
-            out = np.zeros(dofmap.n_dofs, dtype=np.promote_types(vals.dtype, float))
-        elif vals.dtype.kind == "c" and out.dtype.kind != "c":
-            out = out.astype(complex)
-        # b_e[i] = area * sum_q w_q g(x_q) lambda_i(x_q)
-        be = areas[ids, None] * np.einsum("eq,q,qb->eb", vals, w, pts)
-        d = dofs[ids]
-        keep = d >= 0
-        np.add.at(out, d[keep], be[keep])
-    return out
+    return LoadQuadrature(mesh, dofmap, quad_degree).load(g)
 
 
 def l2_project(mesh: Mesh, dofmap: DofMap, u0: Callable, quad_degree: int = 4) -> np.ndarray:

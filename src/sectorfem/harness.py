@@ -97,19 +97,18 @@ def l2_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray, exact: Callable,
     be finite there.
     """
     values = _vertex_values(mesh, dofmap, uh)
-    coords = mesh.vertices[mesh.triangles]
     areas = triangle_areas(mesh)
     nodal = values[mesh.triangles]
     total = 0.0
     for ids, pts, w in _quad_batches(mesh, quad_degree):
-        xq = np.einsum("qb,ebd->eqd", pts, coords[ids])
-        uq = np.einsum("eb,qb->eq", nodal[ids], pts)
-        eq = np.asarray(exact(xq[..., 0], xq[..., 1]))
+        x, y = fem.quad_points(mesh, ids, pts)
+        uq = nodal[ids] @ pts.T
+        eq = np.asarray(exact(x, y))
         if not np.all(np.isfinite(eq)):
-            bad = np.argwhere(~np.isfinite(eq))[0]
-            x, y = xq[bad[0], bad[1]]
-            raise ValueError(f"exact field returned non-finite value at ({x:.6g}, {y:.6g})")
-        total += float(np.einsum("e,eq,q->", areas[ids], (uq - eq) ** 2, w))
+            e, q = np.argwhere(~np.isfinite(eq))[0]
+            raise ValueError("exact field returned non-finite value at "
+                             f"({x[e, q]:.6g}, {y[e, q]:.6g})")
+        total += float(areas[ids] @ ((uq - eq) ** 2 @ w))
     return math.sqrt(total)
 
 
@@ -121,19 +120,16 @@ def h1_seminorm_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray,
     constant per element.
     """
     values = _vertex_values(mesh, dofmap, uh)
-    coords = mesh.vertices[mesh.triangles]
-    areas = triangle_areas(mesh)
-    _, grads = fem.element_geometry(mesh)
+    areas, grads = fem.element_geometry(mesh)
     guh = np.einsum("eb,ebd->ed", values[mesh.triangles], grads)
     total = 0.0
     for ids, pts, w in _quad_batches(mesh, quad_degree):
-        xq = np.einsum("qb,ebd->eqd", pts, coords[ids])
-        gx, gy = exact_grad(xq[..., 0], xq[..., 1])
+        gx, gy = exact_grad(*fem.quad_points(mesh, ids, pts))
         if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
             raise ValueError("exact gradient returned non-finite values")
         dx = guh[ids, None, 0] - np.asarray(gx)
         dy = guh[ids, None, 1] - np.asarray(gy)
-        total += float(np.einsum("e,eq,q->", areas[ids], dx ** 2 + dy ** 2, w))
+        total += float(areas[ids] @ ((dx ** 2 + dy ** 2) @ w))
     return math.sqrt(total)
 
 

@@ -15,7 +15,7 @@ marked read-only) and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,6 +56,18 @@ class Mesh:
                            tuple((int(i), int(j), str(tag)) for i, j, tag in self.boundary_edges))
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
+        # numpy would wrap a negative index to the end of the vertex array,
+        # so a bad index otherwise yields a valid-looking but wrong mesh.
+        nv = self.vertices.shape[0]
+        bad = np.flatnonzero(((self.triangles < 0) | (self.triangles >= nv)).any(axis=1))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"triangle {k} has vertex indices {self.triangles[k].tolist()} "
+                             f"outside [0, {nv})")
+        for i, j, tag in self.boundary_edges:
+            if not (0 <= i < nv and 0 <= j < nv):
+                raise ValueError(f"boundary edge ({i}, {j}, {tag}) has a vertex index "
+                                 f"outside [0, {nv})")
 
     @property
     def n_vertices(self) -> int:
@@ -356,6 +368,9 @@ def read_mesh(path, beta: float | None = None, gamma: float | None = None,
                 raise ValueError(f"unknown boundary edge tag {tag!r}")
             edges.append((int(i), int(j), tag))
 
+    # Built first so its index checks run before the inference below reads
+    # vertices through the edge list.
+    mesh = Mesh(verts, tris, tuple(edges), math.nan, math.nan, math.nan)
     if beta is None:
         ids = {v for i, j, tag in edges if tag == EDGE_THETA_MAX for v in (i, j)}
         ids = [v for v in ids if np.hypot(*verts[v]) > 1e-12]
@@ -366,8 +381,6 @@ def read_mesh(path, beta: float | None = None, gamma: float | None = None,
         beta = math.pi / theta
     if gamma is None:
         gamma = 1.0
-    mesh = Mesh(verts, tris, tuple(edges), beta, gamma, h_star if h_star is not None else 0.5)
     if h_star is None:
-        mesh = Mesh(verts, tris, tuple(edges), beta, gamma,
-                    float(triangle_diameters(mesh).max()))
-    return mesh
+        h_star = float(triangle_diameters(mesh).max())
+    return replace(mesh, beta=beta, gamma=gamma, h_star=h_star)

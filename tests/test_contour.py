@@ -1,6 +1,7 @@
 """Contour construction, node solves and the folded quadrature sum."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,45 @@ def test_evolve_performs_exactly_m_plus_one_complex_solves(mixed_system):
     fem.reset_solve_counts()
     inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
     assert fem.solve_counts()["complex"] == 9
+
+
+@pytest.fixture(scope="module")
+def source_system(assembled_cache):
+    spec = sf.example1(0.5)
+    msh, dm, M, S = assembled_cache(2 ** -3, 1.5, fem.DIRICHLET, spec.K)
+    return spec, msh, dm, M, S
+
+
+def test_evolve_reports_nonfinite_source_at_one_node(source_system):
+    spec, msh, dm, M, S = source_system
+    calls = []
+
+    def fhat(z):
+        calls.append(z)
+        field = spec.fhat(z)
+        if len(calls) < 4:
+            return field
+        return lambda x, y: np.where(x > 0.5, np.nan, field(x, y))
+
+    with pytest.raises(ValueError, match=r"non-finite value at \(0\.[5-9]"):
+        inverse_laplace_evolve(replace(spec, fhat=fhat), msh, dm, M, S, 1.0, 8)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_evolve_builds_each_quadrature_once(monkeypatch, source_system, m):
+    # one quadrature for the projection of u0, one for the source, whatever M
+    spec, msh, dm, M, S = source_system
+    calls = []
+    original = fem.element_quad_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "element_quad_points", counted)
+    inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, m)
+    assert len(calls) == 2
 
 
 def test_evolve_doubling_m_contracts_difference(mixed_system):

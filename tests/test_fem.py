@@ -147,6 +147,38 @@ def test_load_rejects_bad_degree(mesh_cache):
                           lambda x, y: x, quad_degree=8)
 
 
+def reference_load(msh, dm, g, quad_degree):
+    """Three-operand einsum form of load assembly, the reference for LoadQuadrature."""
+    coords = msh.vertices[msh.triangles]
+    areas = triangle_areas(msh)
+    dofs = dm.vertex_to_dof[msh.triangles]
+    out = np.zeros(dm.n_dofs, dtype=complex)
+    for ids, pts, w in fem.element_quad_points(msh, quad_degree):
+        xq = np.einsum("qb,ebd->eqd", pts, coords[ids])
+        vals = g(xq[..., 0], xq[..., 1])
+        be = areas[ids, None] * np.einsum("eq,q,qb->eb", vals, w, pts)
+        d = dofs[ids]
+        keep = d >= 0
+        np.add.at(out, d[keep], be[keep])
+    return out
+
+
+@pytest.mark.parametrize("quad_degree", [2, 4, 6])
+@pytest.mark.parametrize("bc_kind", [fem.DIRICHLET, fem.MIXED])
+def test_load_quadrature_matches_einsum_reference(mesh_cache, bc_kind, quad_degree):
+    msh = mesh_cache(2 ** -3, 3.0)
+    dm = sf.build_dofmap(msh, bc_kind)
+    quad = fem.LoadQuadrature(msh, dm, quad_degree)
+    assert len(quad.groups) == 2, "expected a near-corner group on a gamma=3 mesh"
+    real_field = sf.elliptic_singular().f
+    complex_field = sf.example1(0.5).fhat(make_contour(8, 1.0).nodes[3])
+    for g, kind in ((real_field, "f"), (complex_field, "c")):
+        got = quad.load(g)
+        ref = reference_load(msh, dm, g, quad_degree)
+        assert got.dtype.kind == kind
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 def test_project_basis_function_is_unit_vector(mesh_cache):
     # projecting a function already in the FE space returns its coefficients:
     # M x = M e_k  ->  x = e_k

@@ -56,6 +56,29 @@ def test_h1_error_zero_for_matching_gradient(mesh_cache):
     assert err < 1e-13
 
 
+def test_error_integrals_match_einsum_reference(mesh_cache):
+    ell = sf.elliptic_singular()
+    msh = mesh_cache(2 ** -4, 3.0)
+    dm = sf.build_dofmap(msh, fem.DIRICHLET)
+    uh = ell.exact(*msh.vertices[dm.vertex_to_dof >= 0].T) * 1.01
+    values = dm.expand(uh)
+    coords = msh.vertices[msh.triangles]
+    areas, grads = fem.element_geometry(msh)
+    guh = np.einsum("eb,ebd->ed", values[msh.triangles], grads)
+    l2 = h1 = 0.0
+    for ids, pts, w in harness._quad_batches(msh, 6):
+        xq = np.einsum("qb,ebd->eqd", pts, coords[ids])
+        uq = np.einsum("eb,qb->eq", values[msh.triangles][ids], pts)
+        eq = ell.exact(xq[..., 0], xq[..., 1])
+        l2 += np.einsum("e,eq,q->", areas[ids], (uq - eq) ** 2, w)
+        gx, gy = ell.exact_grad(xq[..., 0], xq[..., 1])
+        d2 = (guh[ids, None, 0] - gx) ** 2 + (guh[ids, None, 1] - gy) ** 2
+        h1 += np.einsum("e,eq,q->", areas[ids], d2, w)
+    assert sf.l2_error(msh, dm, uh, ell.exact) == pytest.approx(math.sqrt(l2), rel=1e-12)
+    assert sf.h1_seminorm_error(msh, dm, uh, ell.exact_grad) == pytest.approx(math.sqrt(h1),
+                                                                              rel=1e-12)
+
+
 def test_interpolation_rate_for_smooth_function(mesh_cache):
     def smooth(x, y):
         return np.sin(np.pi * x) * np.sin(np.pi * y)

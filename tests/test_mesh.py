@@ -184,6 +184,25 @@ def test_write_read_round_trip(tmp_path, mesh_cache):
     assert sf.verify_grading(back).passed
 
 
+@pytest.mark.parametrize("index", ["-1", "n_vertices"])
+@pytest.mark.parametrize("line", ["triangle", "boundary_edge"])
+def test_read_rejects_out_of_range_index(tmp_path, mesh_cache, line, index):
+    msh = mesh_cache(2 ** -2, 1.0)
+    path = tmp_path / "mesh.txt"
+    sf.write_mesh(msh, path)
+    lines = path.read_text().splitlines()
+    if line == "triangle":
+        k = 1 + msh.n_vertices
+    else:  # a theta_max edge: read_mesh infers beta from its vertices
+        k = next(k for k, text in enumerate(lines) if text.endswith(EDGE_THETA_MAX))
+    fields = lines[k].split()
+    fields[1] = str(-1 if index == "-1" else msh.n_vertices)
+    lines[k] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"outside \[0, {msh.n_vertices}\)"):
+        sf.read_mesh(path)
+
+
 def test_mesh_immutable(mesh_cache):
     msh = mesh_cache(2 ** -3, 1.0)
     with pytest.raises(ValueError):
