@@ -82,6 +82,15 @@ def laplace_invert_scalar(fhat: Callable[[complex], complex], t: float, M: int =
     return float(fold_terms(params, terms))
 
 
+def _node_solve(z: complex, alpha: float, mass, stiffness, b0: np.ndarray,
+                fhat_load: Callable[[complex], np.ndarray] | None) -> np.ndarray:
+    """Solve ``(z**alpha M + S) uhat = z**(alpha-1) * (b0 + b(z))`` at one node."""
+    z = complex(z)
+    rhs = b0 if fhat_load is None else b0 + fhat_load(z)
+    rhs = z ** (alpha - 1.0) * rhs
+    return fem.solve_complex_symmetric(z ** alpha, mass, stiffness, rhs)
+
+
 def uhat_solve(z: complex, alpha: float, mass, stiffness, u0h: np.ndarray,
                fhat_load: Callable[[complex], np.ndarray] | None = None) -> np.ndarray:
     """Laplace-domain solve at one contour node.
@@ -90,28 +99,24 @@ def uhat_solve(z: complex, alpha: float, mass, stiffness, u0h: np.ndarray,
     ``b(z)`` is the load vector of the transformed source (omitted when the
     source vanishes).  ``z**alpha`` uses the principal branch.
     """
-    z = complex(z)
-    za = z ** alpha
-    rhs = mass @ np.asarray(u0h, dtype=complex)
-    if fhat_load is not None:
-        rhs = rhs + fhat_load(z)
-    rhs = z ** (alpha - 1.0) * rhs
-    return fem.solve_complex_symmetric(za, mass, stiffness, rhs)
+    return _node_solve(z, alpha, mass, stiffness, mass @ np.asarray(u0h), fhat_load)
 
 
 def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
                            M: int = 8, quad_degree: int = 4) -> np.ndarray:
     """Semidiscrete solution at time t via the folded contour quadrature.
 
-    Projects the initial data onto the FE space, solves the complex system
-    at the M+1 nodes of the contour for time t, and reassembles the real
-    nodal vector.  Each evaluation costs exactly M+1 complex solves.  With a
-    source, the mesh-only load quadrature is built once per evolve and only
-    the transformed field ``problem.fhat(z)`` is evaluated and reduced at
-    each node.
+    Solves the complex system at the M+1 nodes of the contour for time t
+    and reassembles the real nodal vector.  Each evaluation costs exactly
+    M+1 complex solves.  The initial data enter only through ``M u0h``,
+    where u0h is the L2 projection of u0; that product is the load vector
+    of u0, so it is assembled directly and neither the projection nor a
+    mass solve is done.  With a source, the mesh-only load quadrature is
+    built once per evolve and only the transformed field
+    ``problem.fhat(z)`` is evaluated and reduced at each node.
     """
     params = make_contour(M, t)
-    u0h = fem.l2_project(mesh, dofmap, problem.u0, quad_degree)
+    b0 = fem.assemble_load(mesh, dofmap, problem.u0, quad_degree)
     if problem.fhat is not None:
         source = fem.LoadQuadrature(mesh, dofmap, quad_degree)
 
@@ -123,7 +128,7 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
     terms = np.empty((M + 1, dofmap.n_dofs), dtype=complex)
     for j, (z, dz) in enumerate(zip(params.nodes, params.dnodes)):
         try:
-            uhat = uhat_solve(z, problem.alpha, mass, stiffness, u0h, fhat_load)
+            uhat = _node_solve(z, problem.alpha, mass, stiffness, b0, fhat_load)
         except fem.SolverError as exc:
             raise fem.SolverError(f"contour node j={j} (z={z:.6g}): {exc}",
                                   exc.residual) from exc

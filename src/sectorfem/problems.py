@@ -123,10 +123,12 @@ def example1(alpha: float, beta: float = 2.0 / 3.0) -> ProblemSpec:
     def fhat(z):
         z = complex(z)
         za = z ** -alpha
-        z2a = z ** (-2.0 * alpha)
+        cAg = (za + z ** (-2.0 * alpha)) * K * (2 * beta + 1)
 
         def field(x, y):
-            return za * g(x, y) + (za + z2a) * Ag(x, y)
+            # za*g + (za + z**-2alpha)*Ag with r**(beta-1) sin(beta theta) factored out
+            r, theta = _polar(x, y)
+            return (za * (r * (1.0 - r)) + cAg) * (r ** (beta - 1.0) * np.sin(beta * theta))
 
         return field
 

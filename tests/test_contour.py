@@ -174,6 +174,45 @@ def test_evolve_builds_each_quadrature_once(monkeypatch, source_system, m):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("system", ["mixed_system", "source_system"])
+def test_evolve_uses_u0_load_vector_without_projection(monkeypatch, request, system):
+    spec, msh, dm, M, S = request.getfixturevalue(system)
+    calls = []
+
+    def counting(name):
+        original = getattr(fem, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("l2_project", "assemble_mass"):
+        monkeypatch.setattr(fem, name, counting(name))
+    inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
+    assert calls == []
+
+
+@pytest.mark.parametrize("system", ["mixed_system", "source_system"])
+def test_evolve_matches_projection_reference(request, system):
+    # the pipeline before the u0 load vector: project u0, solve each node
+    # from M u0h, fold
+    spec, msh, dm, M, S = request.getfixturevalue(system)
+    t = 0.7
+    u0h = fem.l2_project(msh, dm, spec.u0)
+    fhat_load = None
+    if spec.fhat is not None:
+        def fhat_load(z):
+            return fem.assemble_load(msh, dm, spec.fhat(z))
+    params = make_contour(8, t)
+    terms = np.array([np.exp(z * t) * uhat_solve(z, spec.alpha, M, S, u0h, fhat_load) * dz
+                      for z, dz in zip(params.nodes, params.dnodes)])
+    ref = fold_terms(params, terms)
+    got = inverse_laplace_evolve(spec, msh, dm, M, S, t, 8)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_evolve_doubling_m_contracts_difference(mixed_system):
     spec, msh, dm, M, S = mixed_system
     U4 = inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sectorfem as sf
-from sectorfem import fem
+from sectorfem import fem, problems
 
 BETA = 2.0 / 3.0
 
@@ -89,6 +89,19 @@ def test_example1_laplace_domain_identity():
     lhs = z * uhat_g * g + z ** (1.0 - alpha) * uhat_g * Ag
     rhs = g + spec.fhat(z)(x, y)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def test_example1_source_field_matches_its_two_parts():
+    spec = sf.example1(0.5)
+    g = problems._singular_part(BETA)
+    Ag = problems._singular_part_laplacian(BETA, spec.K)
+    x, y = interior_samples(400, seed=17, r_min=1e-4)
+    x, y = x.reshape(20, 20), y.reshape(20, 20)
+    for z in (2.0 + 3.0j, 35.9, 10.0 - 40.0j):
+        za, z2a = z ** -0.5, z ** -1.0
+        got = spec.fhat(z)(x, y)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, za * g(x, y) + (za + z2a) * Ag(x, y), rtol=1e-14)
 
 
 def test_example2_initial_data_boundary_values():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from sectorfem import specialfn as sfn
 from sectorfem.contour import laplace_invert_scalar
@@ -105,6 +106,30 @@ def test_bessel_values():
         assert sfn.bessel_j(0.5, x) == pytest.approx(ref, abs=1e-12)
     np.testing.assert_allclose(sfn.bessel_j(1.0, np.array([0.0, 1.0])),
                                [0.0, 0.44005058574493355], atol=1e-12)
+
+
+BESSEL_ORDERS = (0.0, 0.25, 1.0 / 3.0, 0.5, 1.0, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("nu", BESSEL_ORDERS)
+def test_bessel_matches_amos_reference(nu):
+    # dense grid of [0, 20] with points on both sides of the series cut-off
+    xs = np.concatenate([np.linspace(0.0, 20.0, 20001),
+                         6.0 + np.array([-1e-12, 0.0, 1e-12]), [1e-300, 1e-8]])
+    np.testing.assert_allclose(sfn.bessel_j(nu, xs), jv(nu, xs), rtol=0, atol=1e-13)
+
+
+def test_bessel_keeps_input_shape():
+    for x in (0.7, 12.0, np.float64(3.0), np.array(5.5), np.array(7.5)):
+        got = sfn.bessel_j(1.0 / 3.0, x)
+        assert type(got) is float
+        assert got == pytest.approx(jv(1.0 / 3.0, float(x)), abs=1e-13)
+    xs = np.linspace(0.0, 10.0, 24).reshape(6, 4)
+    for sample in (xs, xs[:, :2].T, xs[:2, :] * 0.5):
+        got = sfn.bessel_j(0.5, sample)
+        assert isinstance(got, np.ndarray) and got.shape == sample.shape
+        np.testing.assert_allclose(got, jv(0.5, sample), rtol=0, atol=1e-13)
+    assert sfn.bessel_j(0.5, np.empty((0, 3))).shape == (0, 3)
 
 
 def test_bessel_rejects_out_of_range():
