@@ -111,17 +111,16 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
     M+1 complex solves.  The initial data enter only through ``M u0h``,
     where u0h is the L2 projection of u0; that product is the load vector
     of u0, so it is assembled directly and neither the projection nor a
-    mass solve is done.  With a source, the mesh-only load quadrature is
-    built once per evolve and only the transformed field
-    ``problem.fhat(z)`` is evaluated and reduced at each node.
+    mass solve is done.  The mesh-only load quadrature is built once per
+    evolve and serves both that vector and, with a source, the transformed
+    field ``problem.fhat(z)``, which is evaluated and reduced at each node.
     """
     params = make_contour(M, t)
-    b0 = fem.assemble_load(mesh, dofmap, problem.u0, quad_degree)
+    quad = fem.LoadQuadrature(mesh, dofmap, quad_degree)
+    b0 = quad.load(problem.u0)
     if problem.fhat is not None:
-        source = fem.LoadQuadrature(mesh, dofmap, quad_degree)
-
         def fhat_load(z):
-            return source.load(problem.fhat(z))
+            return quad.load(problem.fhat(z))
     else:
         fhat_load = None
 

@@ -333,13 +333,16 @@ def mesh_stats(mesh: Mesh) -> dict:
 def write_mesh(mesh: Mesh, path) -> None:
     """Write a mesh in the plain-text exchange format.
 
-    Header ``<V> vertices <T> triangles <B> boundary_edges``, then one
-    ``x y`` line per vertex, one ``i j k`` line per triangle (0-based) and
-    one ``i j tag`` line per boundary edge.
+    Header ``<V> vertices <T> triangles <B> boundary_edges beta <b> gamma
+    <g> h_star <h>``, then one ``x y`` line per vertex, one ``i j k`` line
+    per triangle (0-based) and one ``i j tag`` line per boundary edge.
+    Floats carry 17 significant digits, so :func:`read_mesh` gives back the
+    same mesh, generation metadata included.
     """
     with open(path, "w") as fh:
         fh.write(f"{mesh.n_vertices} vertices {mesh.n_triangles} triangles "
-                 f"{len(mesh.boundary_edges)} boundary_edges\n")
+                 f"{len(mesh.boundary_edges)} boundary_edges beta {mesh.beta:.17g} "
+                 f"gamma {mesh.gamma:.17g} h_star {mesh.h_star:.17g}\n")
         for x, y in mesh.vertices:
             fh.write(f"{x:.17g} {y:.17g}\n")
         for i, j, k in mesh.triangles:
@@ -348,17 +351,27 @@ def write_mesh(mesh: Mesh, path) -> None:
             fh.write(f"{i} {j} {tag}\n")
 
 
+_METADATA_KEYS = ["beta", "gamma", "h_star"]
+
+
 def read_mesh(path, beta: float | None = None, gamma: float | None = None,
               h_star: float | None = None) -> Mesh:
     """Read a mesh written by :func:`write_mesh`.
 
-    The text format carries no generation metadata, so ``beta`` is inferred
-    from the theta_max radial edge when not supplied, ``h_star`` falls back
+    ``beta``, ``gamma`` and ``h_star`` come from the keyword arguments when
+    given, else from the optional header suffix ``beta <b> gamma <g> h_star
+    <h>``.  Files without the suffix carry no generation metadata: ``beta``
+    is then inferred from the theta_max radial edge, ``h_star`` falls back
     to the maximum element diameter and ``gamma`` to 1.
     """
     with open(path) as fh:
         header = fh.readline().split()
         nv, nt, nb = int(header[0]), int(header[2]), int(header[4])
+        suffix = header[6:]
+        if suffix and (len(suffix) != 6 or suffix[::2] != _METADATA_KEYS):
+            raise ValueError(f"mesh header suffix {' '.join(suffix)!r} is not "
+                             "'beta <b> gamma <g> h_star <h>'")
+        meta = {key: float(value) for key, value in zip(suffix[::2], suffix[1::2])}
         verts = np.array([[float(v) for v in fh.readline().split()] for _ in range(nv)])
         tris = np.array([[int(v) for v in fh.readline().split()] for _ in range(nt)])
         edges = []
@@ -371,6 +384,9 @@ def read_mesh(path, beta: float | None = None, gamma: float | None = None,
     # Built first so its index checks run before the inference below reads
     # vertices through the edge list.
     mesh = Mesh(verts, tris, tuple(edges), math.nan, math.nan, math.nan)
+    beta = meta.get("beta") if beta is None else beta
+    gamma = meta.get("gamma", 1.0) if gamma is None else gamma
+    h_star = meta.get("h_star") if h_star is None else h_star
     if beta is None:
         ids = {v for i, j, tag in edges if tag == EDGE_THETA_MAX for v in (i, j)}
         ids = [v for v in ids if np.hypot(*verts[v]) > 1e-12]
@@ -379,8 +395,6 @@ def read_mesh(path, beta: float | None = None, gamma: float | None = None,
         far = max(ids, key=lambda v: np.hypot(*verts[v]))
         theta = math.atan2(verts[far][1], verts[far][0]) % (2 * math.pi)
         beta = math.pi / theta
-    if gamma is None:
-        gamma = 1.0
     if h_star is None:
         h_star = float(triangle_diameters(mesh).max())
     return replace(mesh, beta=beta, gamma=gamma, h_star=h_star)

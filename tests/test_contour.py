@@ -160,7 +160,7 @@ def test_evolve_reports_nonfinite_source_at_one_node(source_system):
 
 @pytest.mark.parametrize("m", [4, 8, 16])
 def test_evolve_builds_each_quadrature_once(monkeypatch, source_system, m):
-    # one quadrature for the projection of u0, one for the source, whatever M
+    # one quadrature shared by the u0 load vector and the source, whatever M
     spec, msh, dm, M, S = source_system
     calls = []
     original = fem.element_quad_points
@@ -171,7 +171,7 @@ def test_evolve_builds_each_quadrature_once(monkeypatch, source_system, m):
 
     monkeypatch.setattr(fem, "element_quad_points", counted)
     inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, m)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("system", ["mixed_system", "source_system"])

@@ -304,15 +304,75 @@ def test_solve_complex_every_contour_node_matches_default_lu(assembled_cache, bc
         assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
+def test_solve_complex_every_node_of_a_benchmark_system_matches_default_lu(assembled_cache):
+    # Example 2's finest time-curve system: gamma=3, mixed, h*=2^-5 (6,028 dofs)
+    spec = sf.example2(0.5)
+    msh, dm, M, S = assembled_cache(2 ** -5, 3.0, fem.MIXED, spec.K)
+    assert dm.n_dofs == 6028
+    b0 = fem.assemble_load(msh, dm, spec.u0)
+    for z in make_contour(8, 1.0).nodes:
+        za = complex(z) ** spec.alpha
+        b = complex(z) ** (spec.alpha - 1.0) * b0
+        x = fem.solve_complex_symmetric(za, M, S, b)
+        A = za * M + S
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+        ref = spla.splu(sp.csc_matrix(A)).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0])
+def test_solve_real_elliptic_system_matches_default_lu(assembled_cache, gamma):
+    ell = sf.elliptic_singular()
+    msh, dm, _, S = assembled_cache(2 ** -4, gamma, fem.DIRICHLET, ell.K)
+    b = fem.assemble_load(msh, dm, ell.f)
+    x = fem.solve_real_spd(S, b)
+    assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
+    ref = spla.splu(sp.csc_matrix(S)).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_solve_complex_factors_exactly_the_node_matrix(monkeypatch, assembled_cache):
+    msh, dm, M, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
+    factored = []
+    real_splu = spla.splu
+
+    def splu(A, **kwargs):
+        factored.append(A)
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", splu)
+    za = (2.0 + 3.0j) ** 0.5
+    fem.solve_complex_symmetric(za, M, S, np.ones(dm.n_dofs, dtype=complex))
+    # SuperLU gets the transpose as a CSC view of the CSR sum, bit for bit
+    (A,) = factored
+    expect = za * M + S
+    assert A.format == "csc" and A.dtype == np.complex128
+    assert np.array_equal(A.T.toarray(), expect.toarray())
+
+
+def test_solve_complex_nonsymmetric_pair_matches_dense_solve():
+    # the solves undo the transpose SuperLU factors, so symmetry is not assumed
+    rng = np.random.default_rng(5)
+    M = sp.csr_array(np.eye(6) + 0.1 * rng.standard_normal((6, 6)))
+    S = sp.csr_array(np.triu(rng.standard_normal((6, 6))) + 6 * np.eye(6))
+    z = 1.5 - 0.5j
+    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    x = fem.solve_complex_symmetric(z, M, S, b)
+    expect = np.linalg.solve((z * M + S).toarray(), b)
+    assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
+    x = fem.solve_real_spd(S, b.real)
+    assert np.linalg.norm(x - np.linalg.solve(S.toarray(), b.real)) <= 1e-12 * np.linalg.norm(x)
+
+
 class _CountingLU:
     """SuperLU proxy that counts solves and can spoil the first one."""
 
     def __init__(self, lu, spoil):
         self.lu, self.spoil, self.solves = lu, spoil, 0
 
-    def solve(self, rhs):
+    def solve(self, rhs, trans="N"):
         self.solves += 1
-        x = self.lu.solve(rhs)
+        x = self.lu.solve(rhs, trans=trans)
         return x * (1.0 + 1e-6) if self.spoil and self.solves == 1 else x
 
 

@@ -173,15 +173,50 @@ def test_write_read_round_trip(tmp_path, mesh_cache):
     path = tmp_path / "mesh.txt"
     sf.write_mesh(msh, path)
     header = path.read_text().splitlines()[0].split()
-    assert header[1::2] == ["vertices", "triangles", "boundary_edges"]
-    assert [int(v) for v in header[::2]] == [msh.n_vertices, msh.n_triangles,
-                                             len(msh.boundary_edges)]
+    assert header[1:6:2] == ["vertices", "triangles", "boundary_edges"]
+    assert [int(v) for v in header[:6:2]] == [msh.n_vertices, msh.n_triangles,
+                                              len(msh.boundary_edges)]
+    assert header[6::2] == ["beta", "gamma", "h_star"]
     back = sf.read_mesh(path, gamma=1.5, h_star=2 ** -3)
     assert np.allclose(back.vertices, msh.vertices)
     assert np.array_equal(back.triangles, msh.triangles)
     assert back.boundary_edges == msh.boundary_edges
     assert back.beta == pytest.approx(BETA, rel=1e-12)
     assert sf.verify_grading(back).passed
+
+
+def test_round_trip_keeps_metadata_and_the_solution(tmp_path, assembled_cache):
+    spec = sf.example2(0.5)
+    msh, dm, M, S = assembled_cache(2 ** -4, 3.0, sf.MIXED, spec.K)
+    path = tmp_path / "mesh.txt"
+    sf.write_mesh(msh, path)
+    back = sf.read_mesh(path)
+    assert (back.beta, back.gamma, back.h_star) == (msh.beta, msh.gamma, msh.h_star)
+    assert np.array_equal(back.vertices, msh.vertices)
+    assert sf.verify_grading(back).passed
+    dm_back = sf.build_dofmap(back, sf.MIXED)
+    got = sf.inverse_laplace_evolve(spec, back, dm_back, sf.assemble_mass(back, dm_back),
+                                    sf.assemble_stiffness(back, dm_back, spec.K), 1.0, 8)
+    assert np.array_equal(got, sf.inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8))
+
+
+def test_read_without_metadata_and_keyword_precedence(tmp_path, mesh_cache):
+    msh = mesh_cache(2 ** -3, 3.0)
+    path = tmp_path / "mesh.txt"
+    sf.write_mesh(msh, path)
+    lines = path.read_text().splitlines()
+    given = sf.read_mesh(path, gamma=1.5, h_star=0.2)
+    assert (given.beta, given.gamma, given.h_star) == (msh.beta, 1.5, 0.2)
+    # a header without the suffix reads as before: gamma 1, h_star = max diameter
+    lines[0] = " ".join(lines[0].split()[:6])
+    path.write_text("\n".join(lines) + "\n")
+    old = sf.read_mesh(path)
+    assert old.beta == pytest.approx(BETA, rel=1e-12)
+    assert (old.gamma, old.h_star) == (1.0, triangle_diameters(msh).max())
+    lines[0] += " beta 0.5 gamma 3"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="header suffix"):
+        sf.read_mesh(path)
 
 
 @pytest.mark.parametrize("index", ["-1", "n_vertices"])
