@@ -12,7 +12,8 @@ from .fem import (DIRICHLET, MIXED, DofMap, SolverError, assemble_load, assemble
                   assemble_stiffness, build_dofmap, l2_project, smallest_eigenpairs,
                   solve_complex_symmetric, solve_real_spd, unconstrained_dofmap)
 from .harness import (ConvergenceReport, ConvergenceRow, epsilon, epsilon_mix, fit_rate,
-                      h1_seminorm_error, l2_error, run_convergence, write_report_csv)
+                      h1_seminorm_error, l2_error, run_convergence, solve_spec,
+                      write_report_csv)
 from .mesh import (EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, GradingReport, Mesh,
                    generate_sector_mesh, mesh_stats, read_mesh, verify_grading, write_mesh)
 from .problems import (EllipticSpec, ProblemSpec, elliptic_singular, example1, example2,
@@ -30,7 +31,7 @@ __all__ = [
     "inverse_laplace_evolve", "l2_error", "l2_project", "laplace_invert_scalar",
     "make_contour", "mesh_stats", "mittag_leffler_neg", "normalize_K", "omega_kernel",
     "read_mesh", "run_convergence", "smallest_eigenpairs", "solve_complex_symmetric",
-    "solve_real_spd", "uhat_solve", "unconstrained_dofmap", "verify_grading",
+    "solve_real_spd", "solve_spec", "uhat_solve", "unconstrained_dofmap", "verify_grading",
     "write_mesh", "write_report_csv",
 ]
 

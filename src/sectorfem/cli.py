@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from . import fem, harness, problems
-from .contour import inverse_laplace_evolve
 from .mesh import generate_sector_mesh, mesh_stats, write_mesh
 from .specialfn import mittag_leffler_neg
 
@@ -28,17 +27,12 @@ def _parse_hstar(token: str) -> float:
 
 
 def _get_problem(name: str, alpha: float, bc: str | None):
-    if name == "1":
-        spec = problems.example1(alpha)
-    elif name == "2":
-        spec = problems.example2(alpha)
-    elif name == "elliptic":
+    if name == "elliptic":
         spec = problems.elliptic_singular()
     else:
-        raise SystemExit(f"unknown example {name!r}")
-    expected = fem.DIRICHLET if name in ("1", "elliptic") else fem.MIXED
-    if bc is not None and bc != expected:
-        raise SystemExit(f"example {name} is defined for {expected} boundary conditions")
+        spec = (problems.example1 if name == "1" else problems.example2)(alpha)
+    if bc is not None and bc != spec.bc_kind:
+        raise ValueError(f"example {name} is defined for {spec.bc_kind} boundary conditions")
     return spec
 
 
@@ -79,7 +73,13 @@ def main(argv=None) -> int:
     p_conv.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as exc:  # a parameter out of its range: a usage error
+        parser.error(str(exc))
 
+
+def _run(args) -> int:
     if args.command == "mesh":
         msh = generate_sector_mesh(args.beta, args.hstar, args.gamma)
         write_mesh(msh, args.out)
@@ -93,19 +93,11 @@ def main(argv=None) -> int:
         print(f"{mittag_leffler_neg(args.alpha, args.x):.12g}")
         return 0
 
+    spec = _get_problem(args.example, args.alpha, args.bc)
     if args.command == "solve":
-        spec = _get_problem(args.example, args.alpha, args.bc)
         msh = generate_sector_mesh(spec.beta, args.hstar, args.gamma)
-        if args.example == "elliptic":
-            dofmap = fem.build_dofmap(msh, fem.DIRICHLET)
-            S = fem.assemble_stiffness(msh, dofmap, spec.K)
-            b = fem.assemble_load(msh, dofmap, spec.f)
-            uh = fem.solve_real_spd(S, b)
-        else:
-            dofmap = fem.build_dofmap(msh, spec.bc_kind)
-            mass = fem.assemble_mass(msh, dofmap)
-            S = fem.assemble_stiffness(msh, dofmap, spec.K)
-            uh = inverse_laplace_evolve(spec, msh, dofmap, mass, S, args.t, args.M)
+        dofmap = fem.build_dofmap(msh, spec.bc_kind)
+        uh, _ = harness.solve_spec(spec, msh, dofmap, args.t, args.M)
         values = dofmap.expand(uh)
         with open(args.out, "w") as fh:
             fh.write("x,y,value\n")
@@ -114,21 +106,17 @@ def main(argv=None) -> int:
         print(f"wrote {args.out}: {len(values)} nodal values")
         return 0
 
-    if args.command == "converge":
-        spec = _get_problem(args.example, args.alpha, args.bc)
-        hstar_list = [_parse_hstar(tok) for tok in args.hstar_list.split(",")]
-        report = harness.run_convergence(spec, args.gamma, hstar_list,
-                                         t=args.t, M=args.M, fit_abscissa=args.fit)
-        harness.write_report_csv(report, args.out)
-        for row in report.rows:
-            rate = "-" if row.rate is None else f"{row.rate:.4f}"
-            status = "FAILED" if row.failed else f"error={row.error:.6e} rate={rate}"
-            print(f"h*={row.h_star:.6g} N={row.n_dofs} {status}")
-        print(f"fitted slope vs {report.fit_abscissa}: {report.fitted_slope:.4f} "
-              f"({report.predictor})")
-        return 0
-
-    return 1
+    hstar_list = [_parse_hstar(tok) for tok in args.hstar_list.split(",")]
+    report = harness.run_convergence(spec, args.gamma, hstar_list,
+                                     t=args.t, M=args.M, fit_abscissa=args.fit)
+    harness.write_report_csv(report, args.out)
+    for row in report.rows:
+        rate = "-" if row.rate is None else f"{row.rate:.4f}"
+        status = "FAILED" if row.failed else f"error={row.error:.6e} rate={rate}"
+        print(f"h*={row.h_star:.6g} N={row.n_dofs} {status}")
+    print(f"fitted slope vs {report.fit_abscissa}: {report.fitted_slope:.4f} "
+          f"({report.predictor})")
+    return 0
 
 
 if __name__ == "__main__":

@@ -103,7 +103,7 @@ def uhat_solve(z: complex, alpha: float, mass, stiffness, u0h: np.ndarray,
 
 
 def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
-                           M: int = 8, quad_degree: int = 4) -> np.ndarray:
+                           M: int = 8) -> np.ndarray:
     """Semidiscrete solution at time t via the folded contour quadrature.
 
     Solves the complex system at the M+1 nodes of the contour for time t
@@ -116,7 +116,7 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
     field ``problem.fhat(z)``, which is evaluated and reduced at each node.
     """
     params = make_contour(M, t)
-    quad = fem.LoadQuadrature(mesh, dofmap, quad_degree)
+    quad = fem.LoadQuadrature(mesh, dofmap)
     b0 = quad.load(problem.u0)
     if problem.fhat is not None:
         def fhat_load(z):

@@ -21,13 +21,20 @@ gradients instead: the diagonally scaled P1 mass matrix has a condition
 number bounded independently of the mesh and its grading (Wathen, IMA J.
 Numer. Anal. 7, 1987).  It is held to the same 1e-10 residual contract.
 
+Quadrature near the corner follows one geometric policy,
+:func:`element_quad_points`, which load assembly and the error norms in
+``harness`` share: every element gets the same symmetric rule, and the
+elements with a vertex at the re-entrant corner get it on each of their
+four midpoint-refinement children, so integrands with an r**(beta-1)
+singularity there are sampled more densely.  The policy reads only the
+vertex coordinates, never the generation metadata of the mesh.
+
 Load assembly is split in two.  ``LoadQuadrature`` is the mesh-only part:
-the corner-aware element groups, their quadrature points, element areas
-and free dofs.  Its ``load(g)`` evaluates a field at the held points and
-reduces it to a load vector; ``assemble_load`` is the set-up followed by
-one apply.  Every quadrature-point and reduction kernel is a single 2-D
-matrix product, which BLAS runs far faster than the equivalent
-three-operand einsum.
+the element groups, their quadrature points, element areas and free dofs.
+Its ``load(g)`` evaluates a field at the held points and reduces it to a
+load vector; ``assemble_load`` is the set-up followed by one apply.  Every
+quadrature-point and reduction kernel is a single 2-D matrix product, which
+BLAS runs far faster than the equivalent three-operand einsum.
 
 Assembled matrices are immutable in practice (never modified after return)
 and each solve factors its own copy, so concurrent solves against shared
@@ -43,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, triangle_areas, triangle_origin_distances
+from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, triangle_areas
 
 DIRICHLET = "dirichlet"
 MIXED = "mixed"
@@ -163,6 +170,8 @@ class DofMap:
     def expand(self, u: np.ndarray) -> np.ndarray:
         """Free-dof coefficients -> per-vertex nodal values (zeros where constrained)."""
         u = np.asarray(u)
+        if u.shape[:1] != (self.n_dofs,):
+            raise ValueError(f"expected {self.n_dofs} free-dof coefficients, got shape {u.shape}")
         full = np.zeros(self.vertex_to_dof.shape[0], dtype=u.dtype)
         free = self.vertex_to_dof >= 0
         full[free] = u[self.vertex_to_dof[free]]
@@ -244,29 +253,33 @@ def assemble_stiffness(mesh: Mesh, dofmap: DofMap, K: float = 1.0) -> sp.csr_arr
     return _scatter(mesh, dofmap, local)
 
 
-def element_quad_points(mesh: Mesh, quad_degree: int, origin_degree: int | None = None):
-    """Quadrature data per element, upgrading the rule near the corner.
+# The four children of the midpoint refinement of a triangle, as barycentric
+# maps from child to parent coordinates (rows are the child's vertices).
+_CHILDREN = np.array([
+    [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
+    [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
+    [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
+    [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+])
 
-    Elements within the innermost band (distance to origin < h_star**gamma)
-    use a rule of degree ``origin_degree`` (default max(quad_degree, 6)) to
-    control the consistency error from r**(beta-1)-type integrands.
 
-    Yields (element_indices, barycentric points (q, 3), weights (q,)).
+def element_quad_points(mesh: Mesh, degree: int):
+    """Quadrature groups (element ids, barycentric points (q, 3), weights (q,)).
+
+    Every element uses ``triangle_rule(degree)``; the elements with a vertex
+    at the origin, where the r**(beta-1) singularities sit, use that rule on
+    each of their four midpoint-refinement children, a quarter of the
+    weight each.  The children's points stay in the parent's barycentric
+    coordinates, so P1 functions evaluate unchanged.  Empty groups are
+    left out.
     """
-    if origin_degree is None:
-        origin_degree = max(quad_degree, 6)
-    r_tri = triangle_origin_distances(mesh)
-    near = r_tri < mesh.h_star ** mesh.gamma
-    groups = []
-    base_ids = np.flatnonzero(~near)
-    near_ids = np.flatnonzero(near)
-    if base_ids.size:
-        pts, w = triangle_rule(quad_degree)
-        groups.append((base_ids, pts, w))
-    if near_ids.size:
-        pts, w = triangle_rule(origin_degree)
-        groups.append((near_ids, pts, w))
-    return groups
+    pts, w = triangle_rule(degree)
+    r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    corner = (r[mesh.triangles] < 1e-14).any(axis=1)
+    groups = [(np.flatnonzero(~corner), pts, w),
+              (np.flatnonzero(corner), np.concatenate([pts @ c for c in _CHILDREN]),
+               np.tile(w / 4.0, 4))]
+    return [group for group in groups if group[0].size]
 
 
 class _LoadGroup(NamedTuple):
@@ -351,19 +364,6 @@ def l2_project(mesh: Mesh, dofmap: DofMap, u0: Callable, quad_degree: int = 4) -
     return _check_residual(mass, x, b, "L2 projection")
 
 
-# Solve counters, for audits of how many factorizations an algorithm spends.
-_SOLVE_COUNTS = {"real": 0, "complex": 0}
-
-
-def solve_counts() -> dict:
-    return dict(_SOLVE_COUNTS)
-
-
-def reset_solve_counts() -> None:
-    _SOLVE_COUNTS["real"] = 0
-    _SOLVE_COUNTS["complex"] = 0
-
-
 _RESIDUAL_TOL = 1e-10
 
 # SuperLU supernode relaxation and panel width.  An interleaved sweep of
@@ -411,7 +411,6 @@ def _lu_solve(A: sp.sparray, b: np.ndarray, context: str) -> np.ndarray:
 
 def solve_real_spd(A: sp.sparray, b: np.ndarray) -> np.ndarray:
     """Direct sparse solve for symmetric positive definite A; residual <= 1e-10."""
-    _SOLVE_COUNTS["real"] += 1
     return _lu_solve(A, np.asarray(b, dtype=float), "real SPD solve")
 
 
@@ -426,7 +425,6 @@ def solve_complex_symmetric(zalpha: complex, mass: sp.sparray, stiffness: sp.spa
     zalpha = complex(zalpha)
     if not np.isfinite(zalpha.real) or not np.isfinite(zalpha.imag):
         raise ValueError(f"non-finite coefficient zalpha = {zalpha}")
-    _SOLVE_COUNTS["complex"] += 1
     # A complex coefficient makes the sum complex; no further copy is made.
     return _lu_solve(zalpha * mass + stiffness, np.asarray(b, dtype=complex),
                      "complex symmetric solve")

@@ -1,11 +1,13 @@
-"""Error measurement, refinement predictors and convergence studies.
+"""Solves, error measurement, refinement predictors and convergence studies.
 
-L2 and H1-seminorm errors are integrated with degree-6 symmetric triangle
-quadrature; elements touching the corner are split fourfold once before
-quadrature so the singular exact fields are resolved.  Convergence studies
-drive mesh generation, assembly and the time integrator over a sequence of
-mesh sizes, then report pairwise rates and least-squares slopes against both
-the dof count and the mesh parameter.
+:func:`solve_spec` is the one solve path: it assembles and solves any
+problem spec on a given mesh and dof map, and both the convergence studies
+and the command line call it.  L2 and H1-seminorm errors are integrated
+with degree-6 symmetric triangle quadrature on the element groups of
+``fem.element_quad_points``, the corner policy load assembly uses too.
+Convergence studies drive mesh generation and the solve over a sequence of
+mesh sizes, then report pairwise rates and least-squares slopes against
+both the dof count and the mesh parameter.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import fem
 from .contour import inverse_laplace_evolve
-from .fem import DofMap, SolverError, build_dofmap, triangle_rule
+from .fem import DofMap, SolverError, build_dofmap
 from .mesh import Mesh, generate_sector_mesh, triangle_areas
 from .problems import EllipticSpec
 
@@ -50,35 +52,6 @@ class ConvergenceReport:
     predictor: str = ""
 
 
-def _quad_batches(mesh: Mesh, quad_degree: int):
-    """(element ids, barycentric points, weights) with corner elements 4-split.
-
-    The fourfold split keeps the parent barycentric representation: child
-    quadrature points are convex combinations of the parent rule, each with
-    a quarter of the weight, so linear FE functions evaluate unchanged.
-    """
-    pts, w = triangle_rule(quad_degree)
-    children = np.array([
-        [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
-        [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
-        [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
-        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
-    ])
-    split_pts = np.concatenate([pts @ child for child in children])
-    split_w = np.tile(w / 4.0, 4)
-
-    vr = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    touches_corner = (vr[mesh.triangles] < 1e-14).any(axis=1)
-    batches = []
-    plain = np.flatnonzero(~touches_corner)
-    corner = np.flatnonzero(touches_corner)
-    if plain.size:
-        batches.append((plain, pts, w))
-    if corner.size:
-        batches.append((corner, split_pts, split_w))
-    return batches
-
-
 def _vertex_values(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray) -> np.ndarray:
     if dofmap is None:
         uh = np.asarray(uh, dtype=float)
@@ -100,7 +73,7 @@ def l2_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray, exact: Callable,
     areas = triangle_areas(mesh)
     nodal = values[mesh.triangles]
     total = 0.0
-    for ids, pts, w in _quad_batches(mesh, quad_degree):
+    for ids, pts, w in fem.element_quad_points(mesh, quad_degree):
         x, y = fem.quad_points(mesh, ids, pts)
         uq = nodal[ids] @ pts.T
         eq = np.asarray(exact(x, y))
@@ -123,7 +96,7 @@ def h1_seminorm_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray,
     areas, grads = fem.element_geometry(mesh)
     guh = np.einsum("eb,ebd->ed", values[mesh.triangles], grads)
     total = 0.0
-    for ids, pts, w in _quad_batches(mesh, quad_degree):
+    for ids, pts, w in fem.element_quad_points(mesh, quad_degree):
         gx, gy = exact_grad(*fem.quad_points(mesh, ids, pts))
         if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
             raise ValueError("exact gradient returned non-finite values")
@@ -179,7 +152,7 @@ def fit_rate(points: Sequence) -> float:
 
 
 def _predictor_label(spec, gamma: float) -> str:
-    if isinstance(spec, EllipticSpec) or spec.bc_kind == fem.DIRICHLET:
+    if spec.bc_kind == fem.DIRICHLET:
         threshold, exponent = 1.0 / spec.beta, spec.beta
     else:
         threshold, exponent = 2.0 / spec.beta, spec.beta / 2.0
@@ -189,15 +162,33 @@ def _predictor_label(spec, gamma: float) -> str:
     return f"L2~h^{rate:.4g}"
 
 
+def solve_spec(spec, mesh: Mesh, dofmap: DofMap, t: float = 1.0, M: int = 8):
+    """Discrete solution of ``spec`` on ``mesh`` and the exact field it approximates.
+
+    An EllipticSpec gets one real SPD solve of the stiffness system; any
+    other spec is integrated to time t by the contour quadrature with
+    half-count M, at M+1 complex solves.  ``dofmap`` must be built for
+    ``spec.bc_kind``.  Returns the free-dof coefficients and the exact
+    solution as a field ``(x, y) -> u`` (at time t for a time-dependent
+    spec).  Raises SolverError when a solve misses the residual contract.
+    """
+    stiffness = fem.assemble_stiffness(mesh, dofmap, spec.K)
+    if isinstance(spec, EllipticSpec):
+        uh = fem.solve_real_spd(stiffness, fem.assemble_load(mesh, dofmap, spec.f))
+        return uh, spec.exact
+    mass = fem.assemble_mass(mesh, dofmap)
+    uh = inverse_laplace_evolve(spec, mesh, dofmap, mass, stiffness, t, M)
+    return uh, lambda x, y: spec.exact(x, y, t)
+
+
 def run_convergence(spec, gamma: float, hstar_list: Sequence[float], t: float = 1.0,
-                    M: int = 8, fit_abscissa: str = "N",
-                    quad_degree: int = 4) -> ConvergenceReport:
+                    M: int = 8, fit_abscissa: str = "N") -> ConvergenceReport:
     """Convergence study over a decreasing sequence of mesh parameters.
 
-    For each h_star a mesh is generated, the problem solved (a static
-    elliptic solve for an EllipticSpec, otherwise the contour time
-    integration at time t with half-count M) and the L2 error recorded.
-    A failed solve marks its row and the study continues.
+    For each h_star a mesh is generated, the problem solved by
+    :func:`solve_spec` and the L2 error recorded (at time t for a
+    time-dependent spec).  A failed solve marks its row and the study
+    continues.
     """
     hs = [float(h) for h in hstar_list]
     if any(b >= a for a, b in zip(hs, hs[1:])):
@@ -205,24 +196,13 @@ def run_convergence(spec, gamma: float, hstar_list: Sequence[float], t: float = 
     if fit_abscissa not in ("N", "h"):
         raise ValueError("fit_abscissa must be 'N' or 'h'")
 
-    elliptic = isinstance(spec, EllipticSpec)
-    bc = fem.DIRICHLET if elliptic else spec.bc_kind
     rows = []
     for h_star in hs:
         msh = generate_sector_mesh(spec.beta, h_star, gamma)
-        dofmap = build_dofmap(msh, bc)
+        dofmap = build_dofmap(msh, spec.bc_kind)
         try:
-            if elliptic:
-                S = fem.assemble_stiffness(msh, dofmap, spec.K)
-                b = fem.assemble_load(msh, dofmap, spec.f, quad_degree)
-                uh = fem.solve_real_spd(S, b)
-                err = l2_error(msh, dofmap, uh, spec.exact)
-            else:
-                mass = fem.assemble_mass(msh, dofmap)
-                S = fem.assemble_stiffness(msh, dofmap, spec.K)
-                uh = inverse_laplace_evolve(spec, msh, dofmap, mass, S, t, M, quad_degree)
-                err = l2_error(msh, dofmap, uh,
-                               lambda x, y: spec.exact(x, y, t))
+            uh, exact = solve_spec(spec, msh, dofmap, t, M)
+            err = l2_error(msh, dofmap, uh, exact)
             rows.append(ConvergenceRow(h_star, dofmap.n_dofs, float(err)))
         except SolverError:
             rows.append(ConvergenceRow(h_star, dofmap.n_dofs, math.nan, failed=True))

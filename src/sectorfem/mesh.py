@@ -231,11 +231,16 @@ def _zip_rings(bot: list, top: list, tris: list) -> None:
             ia += 1
 
 
+def _side_lengths(mesh: Mesh) -> np.ndarray:
+    """(3, nt) lengths of the sides opposite vertices 0, 1 and 2 of every triangle."""
+    p = mesh.vertices[mesh.triangles]
+    return np.linalg.norm(np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]]),
+                          axis=2)
+
+
 def triangle_diameters(mesh: Mesh) -> np.ndarray:
     """Diameter (longest edge) of every triangle."""
-    p = mesh.vertices[mesh.triangles]
-    e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-    return np.linalg.norm(e, axis=2).max(axis=0)
+    return _side_lengths(mesh).max(axis=0)
 
 
 def triangle_origin_distances(mesh: Mesh) -> np.ndarray:
@@ -310,12 +315,7 @@ def verify_grading(mesh: Mesh, c_lo: float = 0.1, c_hi: float = 10.0) -> Grading
 
 def mesh_stats(mesh: Mesh) -> dict:
     """Basic quality numbers: h_max, n_vertices, n_triangles, min_angle (degrees)."""
-    p = mesh.vertices[mesh.triangles]
-    sides = np.stack([
-        np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-        np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-        np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-    ])
+    sides = _side_lengths(mesh)
     a, b, c = sides
     angles = []
     for opp, s1, s2 in ((a, b, c), (b, c, a), (c, a, b)):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class EllipticSpec:
     """Static problem -K*Laplace(u) = f with homogeneous Dirichlet data."""
+
+    bc_kind: ClassVar[str] = DIRICHLET  # not a field: every elliptic spec is Dirichlet
 
     label: str
     beta: float

@@ -58,6 +58,21 @@ def test_solve_command_rejects_wrong_bc():
               "--hstar", "2^-3", "--out", "x.csv"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--example", "2", "--alpha", "1.5", "--hstar", "2^-3"], "alpha must lie in"),
+    (["solve", "--example", "2", "--M", "1", "--hstar", "2^-3"], "M must be an integer"),
+    (["converge", "--example", "elliptic", "--hstar-list", "2^-3,,2^-4"], "could not convert"),
+])
+def test_parameter_errors_exit_with_usage_message(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "sectorfem" in err and "error:" in err and message in err
+    assert not out.exists()
+
+
 def test_converge_command(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert main(["converge", "--example", "elliptic", "--gamma", "1",

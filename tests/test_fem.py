@@ -147,6 +147,53 @@ def test_load_rejects_bad_degree(mesh_cache):
                           lambda x, y: x, quad_degree=8)
 
 
+def assert_monomials_exact(x, y, w, area, exact, degree):
+    """Check area * sum_q w_q x_q**a y_q**b against exact(a, b) for every a + b <= degree."""
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            got = area * (w @ (x ** a * y ** b))
+            assert abs(got - exact(a, b)) <= 1e-13 * exact(a, b), (degree, a, b)
+
+
+def reference_triangle_monomial(a, b):
+    """Integral of x**a y**b over the triangle (0, 0), (1, 0), (0, 1)."""
+    return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+
+
+QUADRATURE_DEGREES = [2, 3, 4, 5, 6, 7, 8, 10]
+
+
+@pytest.mark.parametrize("degree", QUADRATURE_DEGREES)
+def test_triangle_rule_integrates_monomials_exactly(degree):
+    pts, w = fem.triangle_rule(degree)
+    assert np.all(pts > 0) and w.sum() == pytest.approx(1.0, abs=1e-14)
+    # on the reference triangle x and y are the barycentric coordinates 1 and 2
+    assert_monomials_exact(pts[:, 1], pts[:, 2], w, 0.5, reference_triangle_monomial, degree)
+
+
+@pytest.mark.parametrize("degree", QUADRATURE_DEGREES)
+def test_element_quad_points_split_corner_elements_stay_exact(degree):
+    # triangle 0 has a vertex at the origin, triangle 1 does not
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    msh = Mesh(verts, np.array([[0, 1, 2], [1, 3, 2]]),
+               ((0, 1, EDGE_THETA0), (1, 3, EDGE_ARC), (3, 2, EDGE_ARC),
+                (2, 0, EDGE_THETA_MAX)), BETA, 1.0, 0.5)
+    (plain_ids, plain_pts, plain_w), (corner_ids, corner_pts, corner_w) = \
+        fem.element_quad_points(msh, degree)
+    assert plain_ids.tolist() == [1] and corner_ids.tolist() == [0]
+    assert corner_pts.shape[0] == 4 * plain_pts.shape[0]
+    assert np.all(corner_pts > 0) and corner_w.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def upper_triangle_monomial(a, b):
+        return 1.0 / ((a + 1) * (b + 1)) - reference_triangle_monomial(a, b)
+
+    for ids, pts, w, exact in ((plain_ids, plain_pts, plain_w, upper_triangle_monomial),
+                               (corner_ids, corner_pts, corner_w,
+                                reference_triangle_monomial)):
+        x, y = fem.quad_points(msh, ids, pts)
+        assert_monomials_exact(x[0], y[0], w, 0.5, exact, degree)
+
+
 def reference_load(msh, dm, g, quad_degree):
     """Three-operand einsum form of load assembly, the reference for LoadQuadrature."""
     coords = msh.vertices[msh.triangles]
@@ -418,11 +465,3 @@ def test_galerkin_orthogonality_of_elliptic_solve(assembled_cache):
     b = fem.assemble_load(msh, dm, ell.f, 4)
     uh = fem.solve_real_spd(S, b)
     assert np.linalg.norm(S @ uh - b) / np.linalg.norm(b) <= 1e-10
-
-
-def test_solve_counters(assembled_cache):
-    msh, dm, M, S = assembled_cache(2 ** -4, 1.5, fem.DIRICHLET, 1.0)
-    fem.reset_solve_counts()
-    fem.solve_real_spd(M, np.ones(dm.n_dofs))
-    fem.solve_complex_symmetric(1.0 + 1.0j, M, S, np.ones(dm.n_dofs, dtype=complex))
-    assert fem.solve_counts() == {"real": 1, "complex": 1}

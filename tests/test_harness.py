@@ -41,6 +41,13 @@ def test_l2_error_requires_matching_size(mesh_cache):
         sf.l2_error(msh, None, np.zeros(3), lambda x, y: x)
 
 
+def test_l2_error_rejects_vertex_values_with_a_dofmap(mesh_cache):
+    msh = mesh_cache(2 ** -3, 1.0)
+    dm = sf.build_dofmap(msh, fem.DIRICHLET)
+    with pytest.raises(ValueError, match=f"expected {dm.n_dofs} free-dof coefficients"):
+        sf.l2_error(msh, dm, np.zeros(msh.n_vertices), lambda x, y: x)
+
+
 def test_l2_error_reports_nonfinite_exact(mesh_cache):
     msh = mesh_cache(2 ** -3, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"), \
@@ -66,7 +73,7 @@ def test_error_integrals_match_einsum_reference(mesh_cache):
     areas, grads = fem.element_geometry(msh)
     guh = np.einsum("eb,ebd->ed", values[msh.triangles], grads)
     l2 = h1 = 0.0
-    for ids, pts, w in harness._quad_batches(msh, 6):
+    for ids, pts, w in fem.element_quad_points(msh, 6):
         xq = np.einsum("qb,ebd->eqd", pts, coords[ids])
         uq = np.einsum("eb,qb->eq", values[msh.triangles][ids], pts)
         eq = ell.exact(xq[..., 0], xq[..., 1])

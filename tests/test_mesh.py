@@ -219,6 +219,30 @@ def test_read_without_metadata_and_keyword_precedence(tmp_path, mesh_cache):
         sf.read_mesh(path)
 
 
+def test_solution_does_not_depend_on_mesh_metadata(tmp_path, assembled_cache):
+    # quadrature near the corner is decided from the vertices alone, so a
+    # file without the metadata suffix reproduces the generated mesh's numbers
+    spec = sf.example1(0.5)
+    msh, dm, M, S = assembled_cache(2 ** -4, 3.0, sf.DIRICHLET, spec.K)
+    path = tmp_path / "mesh.txt"
+    sf.write_mesh(msh, path)
+    lines = path.read_text().splitlines()
+    lines[0] = " ".join(lines[0].split()[:6])
+    path.write_text("\n".join(lines) + "\n")
+    bare = sf.read_mesh(path)
+    assert (bare.gamma, bare.h_star) != (msh.gamma, msh.h_star)
+    dm_bare = sf.build_dofmap(bare, sf.DIRICHLET)
+    got = sf.inverse_laplace_evolve(spec, bare, dm_bare, sf.assemble_mass(bare, dm_bare),
+                                    sf.assemble_stiffness(bare, dm_bare, spec.K), 1.0, 8)
+    ref = sf.inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
+    assert np.array_equal(got, ref)
+
+    def exact(x, y):
+        return spec.exact(x, y, 1.0)
+
+    assert sf.l2_error(bare, dm_bare, got, exact) == sf.l2_error(msh, dm, ref, exact)
+
+
 @pytest.mark.parametrize("index", ["-1", "n_vertices"])
 @pytest.mark.parametrize("line", ["triangle", "boundary_edge"])
 def test_read_rejects_out_of_range_index(tmp_path, mesh_cache, line, index):

@@ -1,5 +1,6 @@
 """Benchmark problem definitions: normalization, fields and derived sources."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -176,3 +177,12 @@ def test_elliptic_singular_boundary_and_gradient():
     gx, gy = ell.exact_grad(x, y)
     np.testing.assert_allclose(gx, gx_fd, rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(gy, gy_fd, rtol=1e-6, atol=1e-8)
+
+
+def test_elliptic_spec_is_always_dirichlet():
+    # bc_kind is a class constant, not a field, so no elliptic spec can differ
+    ell = sf.elliptic_singular()
+    assert ell.bc_kind == fem.DIRICHLET
+    assert "bc_kind" not in {f.name for f in dataclasses.fields(ell)}
+    with pytest.raises(TypeError):
+        dataclasses.replace(ell, bc_kind=fem.MIXED)
