@@ -18,21 +18,20 @@ from .mesh import (EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, GradingReport, Mesh,
                    generate_sector_mesh, mesh_stats, read_mesh, verify_grading, write_mesh)
 from .problems import (EllipticSpec, ProblemSpec, elliptic_singular, example1, example2,
                        normalize_K)
-from .specialfn import (MLEvalConfig, bessel_j, first_bessel_zero, mittag_leffler_neg,
-                        omega_kernel)
+from .specialfn import bessel_j, first_bessel_zero, mittag_leffler_neg
 
 __all__ = [
     "ContourParams", "ConvergenceReport", "ConvergenceRow", "DIRICHLET", "DofMap",
-    "EDGE_ARC", "EDGE_THETA0", "EDGE_THETA_MAX", "EllipticSpec", "GradingReport",
-    "MIXED", "MLEvalConfig", "Mesh", "ProblemSpec", "SolverError", "assemble_load",
-    "assemble_mass", "assemble_stiffness", "bessel_j", "build_dofmap",
-    "elliptic_singular", "epsilon", "epsilon_mix", "example1", "example2",
-    "first_bessel_zero", "fit_rate", "generate_sector_mesh", "h1_seminorm_error",
-    "inverse_laplace_evolve", "l2_error", "l2_project", "laplace_invert_scalar",
-    "make_contour", "mesh_stats", "mittag_leffler_neg", "normalize_K", "omega_kernel",
-    "read_mesh", "run_convergence", "smallest_eigenpairs", "solve_complex_symmetric",
-    "solve_real_spd", "solve_spec", "uhat_solve", "unconstrained_dofmap", "verify_grading",
-    "write_mesh", "write_report_csv",
+    "EDGE_ARC", "EDGE_THETA0", "EDGE_THETA_MAX", "EllipticSpec", "GradingReport", "MIXED",
+    "Mesh", "ProblemSpec", "SolverError", "assemble_load", "assemble_mass",
+    "assemble_stiffness", "bessel_j", "build_dofmap", "elliptic_singular", "epsilon",
+    "epsilon_mix", "example1", "example2", "first_bessel_zero", "fit_rate",
+    "generate_sector_mesh", "h1_seminorm_error", "inverse_laplace_evolve", "l2_error",
+    "l2_project", "laplace_invert_scalar", "make_contour", "mesh_stats",
+    "mittag_leffler_neg", "normalize_K", "read_mesh", "run_convergence",
+    "smallest_eigenpairs", "solve_complex_symmetric", "solve_real_spd", "solve_spec",
+    "uhat_solve", "unconstrained_dofmap", "verify_grading", "write_mesh",
+    "write_report_csv",
 ]
 
 __version__ = "0.1.0"

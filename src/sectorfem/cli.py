@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import fem, harness, problems
@@ -19,11 +20,16 @@ from .specialfn import mittag_leffler_neg
 
 def _parse_hstar(token: str) -> float:
     """Accept '2^-4' style powers as well as plain floats."""
-    token = token.strip()
-    if "^" in token:
-        base, exp = token.split("^")
-        return float(base) ** float(exp)
-    return float(token)
+    base, power, exp = token.strip().partition("^")
+    try:
+        return math.pow(float(base), float(exp)) if power else float(base)
+    except (ValueError, OverflowError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid entry {token!r}: {exc}") from None
+
+
+def _parse_hstar_list(text: str) -> list:
+    """Comma separated h* values, each in the notation of :func:`_parse_hstar`."""
+    return [_parse_hstar(token) for token in text.split(",")]
 
 
 def _get_problem(name: str, alpha: float, bc: str | None):
@@ -67,7 +73,7 @@ def main(argv=None) -> int:
     p_conv.add_argument("--gamma", type=float, default=1.0)
     p_conv.add_argument("--t", type=float, default=1.0)
     p_conv.add_argument("--M", type=int, default=8)
-    p_conv.add_argument("--hstar-list", required=True,
+    p_conv.add_argument("--hstar-list", type=_parse_hstar_list, required=True,
                         help="comma separated, e.g. 2^-3,2^-4,2^-5")
     p_conv.add_argument("--fit", choices=("N", "h"), default="N")
     p_conv.add_argument("--out", required=True)
@@ -106,8 +112,7 @@ def _run(args) -> int:
         print(f"wrote {args.out}: {len(values)} nodal values")
         return 0
 
-    hstar_list = [_parse_hstar(tok) for tok in args.hstar_list.split(",")]
-    report = harness.run_convergence(spec, args.gamma, hstar_list,
+    report = harness.run_convergence(spec, args.gamma, args.hstar_list,
                                      t=args.t, M=args.M, fit_abscissa=args.fit)
     harness.write_report_csv(report, args.out)
     for row in report.rows:

@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, triangle_areas
+from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, _edge_vectors, triangle_areas
 
 DIRICHLET = "dirichlet"
 MIXED = "mixed"
@@ -204,13 +204,10 @@ def unconstrained_dofmap(mesh: Mesh) -> DofMap:
 
 def element_geometry(mesh: Mesh):
     """Per-element areas and constant P1 basis gradients."""
+    e = _edge_vectors(mesh)
     areas = triangle_areas(mesh)
-    p = mesh.vertices[mesh.triangles]
     # grad of barycentric i is the inward normal of the opposite edge / 2A
-    grads = np.empty((mesh.n_triangles, 3, 2))
-    for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        grads[:, i, 0] = p[:, a, 1] - p[:, b, 1]
-        grads[:, i, 1] = p[:, b, 0] - p[:, a, 0]
+    grads = np.stack([-e[..., 1], e[..., 0]], axis=2)
     grads /= 2.0 * areas[:, None, None]
     return areas, grads
 

@@ -68,6 +68,12 @@ class Mesh:
             if not (0 <= i < nv and 0 <= j < nv):
                 raise ValueError(f"boundary edge ({i}, {j}, {tag}) has a vertex index "
                                  f"outside [0, {nv})")
+        flipped = np.flatnonzero(triangle_areas(self) <= 0)
+        if flipped.size:
+            k = int(flipped[0])
+            raise ValueError(f"triangle {k} with vertices {self.triangles[k].tolist()} at "
+                             f"{self.vertices[self.triangles[k]].tolist()} is clockwise or "
+                             "degenerate (signed area <= 0)")
 
     @property
     def n_vertices(self) -> int:
@@ -231,11 +237,27 @@ def _zip_rings(bot: list, top: list, tris: list) -> None:
             ia += 1
 
 
+def _edge_vectors(mesh: Mesh) -> np.ndarray:
+    """(nt, 3, 2) edge vectors of every triangle; edge i is the one opposite vertex i.
+
+    Edge i runs from vertex i+1 to vertex i+2 (indices mod 3), so the edges
+    of a counter-clockwise triangle circulate counter-clockwise.
+    """
+    # gathering each coordinate separately is about twice as fast as
+    # gathering (x, y) rows
+    x = mesh.vertices[:, 0][mesh.triangles]
+    y = mesh.vertices[:, 1][mesh.triangles]
+    e = np.empty(x.shape + (2,))
+    for i in range(3):
+        a, b = (i + 1) % 3, (i + 2) % 3
+        np.subtract(x[:, b], x[:, a], out=e[:, i, 0])
+        np.subtract(y[:, b], y[:, a], out=e[:, i, 1])
+    return e
+
+
 def _side_lengths(mesh: Mesh) -> np.ndarray:
     """(3, nt) lengths of the sides opposite vertices 0, 1 and 2 of every triangle."""
-    p = mesh.vertices[mesh.triangles]
-    return np.linalg.norm(np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]]),
-                          axis=2)
+    return np.linalg.norm(_edge_vectors(mesh), axis=2).T
 
 
 def triangle_diameters(mesh: Mesh) -> np.ndarray:
@@ -275,9 +297,8 @@ def _origin_segment_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
     """Signed area of every triangle (positive for CCW orientation)."""
-    p = mesh.vertices[mesh.triangles]
-    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    e = _edge_vectors(mesh)
+    return 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
 
 
 def verify_grading(mesh: Mesh, c_lo: float = 0.1, c_hi: float = 10.0) -> GradingReport:

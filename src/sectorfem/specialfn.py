@@ -1,9 +1,17 @@
 """Special functions for exact solutions and test oracles.
 
-Covers the power kernel t**(alpha-1)/Gamma(alpha), the one-parameter
-Mittag-Leffler function on the negative real axis, Bessel functions of the
-first kind of real order, and their first positive zeros.  All functions
-are pure and safe for concurrent use.
+Covers the one-parameter Mittag-Leffler function on the negative real axis,
+Bessel functions of the first kind of real order, and their first positive
+zeros.  All functions are pure and safe for concurrent use.
+
+``mittag_leffler_neg`` has one backend: E_alpha(-x) is the inverse Laplace
+transform of ``z**(alpha-1)/(z**alpha + x)`` at t = 1, summed on the same
+hyperbolic contour as the solver (``laplace_invert_scalar``) with node
+half-count M = 16.  Against a 25-digit quadrature of its integral
+representation the worst absolute error is 1.2e-14 over alpha in [0.01, 1]
+and x in [1e-8, 50].  The Taylor series is not used: it cancels
+catastrophically, and for small alpha its terms overflow a double before x
+reaches 5.
 
 ``bessel_j`` sums the ascending series of J_nu (DLMF 10.2.2) in Horner
 form for arguments up to 6, which covers the initial data of the benchmark
@@ -16,7 +24,6 @@ go to ``jv``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -25,29 +32,6 @@ from scipy.special import jv
 from .contour import laplace_invert_scalar
 
 
-@dataclass(frozen=True)
-class MLEvalConfig:
-    """Evaluation controls for the Mittag-Leffler backends.
-
-    The Taylor series is used for arguments up to ``series_cutoff`` while it
-    is numerically safe, terminating once terms drop below ``series_tol``;
-    otherwise the value comes from inverting its Laplace transform on a
-    hyperbolic contour with ``contour_M`` quadrature nodes.
-    """
-
-    series_cutoff: float = 5.0
-    series_tol: float = 1e-15
-    contour_M: int = 24
-
-    def __post_init__(self):
-        if self.series_cutoff <= 0:
-            raise ValueError("series_cutoff must be positive")
-        if self.series_tol > 1e-14:
-            raise ValueError("series_tol must be <= 1e-14")
-
-
-_DEFAULT_ML_CONFIG = MLEvalConfig()
-
 # Ascending series of J_nu: used for arguments up to _BESSEL_SERIES_MAX with
 # _BESSEL_SERIES_TERMS terms.  At x = 6 the first omitted term is below
 # 1e-24; the term magnitudes sum to I_nu(6) <= I_0(6) ~ 67, which bounds the
@@ -55,44 +39,10 @@ _DEFAULT_ML_CONFIG = MLEvalConfig()
 _BESSEL_SERIES_MAX = 6.0
 _BESSEL_SERIES_TERMS = 24
 
-# Largest |term| the float64 series may visit before cancellation starts
-# eating into the 1e-10 accuracy contract; beyond it we fall back to the
-# contour backend even below the cutoff (relevant for small alpha).
-_SERIES_PEAK_LIMIT = 1e4
-
-
-def omega_kernel(alpha: float, t):
-    """Power kernel t**(alpha-1)/Gamma(alpha) for t > 0, 0 < alpha <= 2."""
-    if not 0 < alpha <= 2:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("omega kernel requires t > 0")
-    out = t ** (alpha - 1.0) / math.gamma(alpha)
-    return float(out) if out.ndim == 0 else out
-
-
-def _ml_series(alpha: float, x: float, tol: float):
-    """Kahan-summed Taylor series of E_alpha(-x); returns (value, peak |term|)."""
-    total = 0.0
-    comp = 0.0
-    peak = 0.0
-    lx = math.log(x)
-    prev = math.inf
-    for p in range(0, 100000):
-        term = math.exp(p * lx - math.lgamma(1.0 + alpha * p))
-        if p % 2:
-            term = -term
-        mag = abs(term)
-        peak = max(peak, mag)
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if mag < tol and mag <= prev:
-            break
-        prev = mag
-    return total, peak
+# Contour half-count for E_alpha(-x).  Fewer nodes leave truncation error
+# (1.7e-12 at M = 12); more nodes let rounding grow like exp(z_0), with the
+# real node z_0 proportional to M (1.3e-12 at M = 24).
+_ML_CONTOUR_M = 16
 
 
 def _ml_contour(alpha: float, x: float, M: int) -> float:
@@ -100,24 +50,20 @@ def _ml_contour(alpha: float, x: float, M: int) -> float:
     return laplace_invert_scalar(lambda z: z ** (alpha - 1.0) / (z ** alpha + x), 1.0, M)
 
 
-def mittag_leffler_neg(alpha: float, x: float, config: MLEvalConfig | None = None) -> float:
+def mittag_leffler_neg(alpha: float, x: float) -> float:
     """E_alpha(-x) = sum_p (-x)**p / Gamma(1 + p*alpha) for 0 < alpha <= 1, x >= 0.
 
-    The result lies in [0, 1] and is accurate to about 1e-10 absolute for
-    x in [0, 50].
+    Evaluated by inverting its Laplace transform on the hyperbolic contour
+    with node half-count ``_ML_CONTOUR_M`` and clamped to [0, 1]; accurate
+    to about 1e-14 absolute for alpha in [0.01, 1] and x in [0, 50].
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if x < 0:
+    if not x >= 0:  # also rejects NaN, which the [0, 1] clamp would turn into 0
         raise ValueError(f"argument must be >= 0, got {x}")
     if x == 0.0:
         return 1.0
-    cfg = config if config is not None else _DEFAULT_ML_CONFIG
-    if x <= cfg.series_cutoff:
-        value, peak = _ml_series(alpha, x, cfg.series_tol)
-        if peak <= _SERIES_PEAK_LIMIT:
-            return min(1.0, max(0.0, value))
-    return min(1.0, max(0.0, _ml_contour(alpha, x, cfg.contour_M)))
+    return min(1.0, max(0.0, _ml_contour(alpha, x, _ML_CONTOUR_M)))
 
 
 def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:

@@ -62,6 +62,11 @@ def test_solve_command_rejects_wrong_bc():
     (["solve", "--example", "2", "--alpha", "1.5", "--hstar", "2^-3"], "alpha must lie in"),
     (["solve", "--example", "2", "--M", "1", "--hstar", "2^-3"], "M must be an integer"),
     (["converge", "--example", "elliptic", "--hstar-list", "2^-3,,2^-4"], "could not convert"),
+    (["converge", "--example", "elliptic", "--hstar-list", "2^-3,,2^-4"],
+     "argument --hstar-list: invalid entry ''"),
+    (["converge", "--example", "elliptic", "--hstar-list", "2^-3^4"],
+     "argument --hstar-list: invalid entry '2^-3^4'"),
+    (["solve", "--example", "2", "--hstar", "2^x"], "argument --hstar: invalid entry '2^x'"),
 ])
 def test_parameter_errors_exit_with_usage_message(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sectorfem as sf
 from sectorfem import fem
@@ -69,6 +71,24 @@ def test_folded_sum_matches_full_sum_scalar():
     total *= params.dxi / (2j * math.pi)
     assert abs(total.imag) < 1e-13
     assert folded == pytest.approx(total.real, abs=1e-13)
+
+
+@pytest.mark.parametrize("fhat", [
+    lambda z: 1.0 / (z + 1.0),
+    lambda z: z ** -0.5 / (z ** 0.5 + 1.0),
+    lambda z: z ** -0.9 / (z ** 0.1 + 3.0),
+], ids=["exp", "ml_half", "ml_tenth"])
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(2, 24), t=st.floats(1e-3, 1e3))
+def test_folded_sum_matches_full_sum(fhat, M, t):
+    params = make_contour(M, t)
+    w = DELTA - 1j * params.dxi * np.arange(-M, M + 1)
+    z = params.mu * (1.0 - np.sin(w))
+    terms = np.array([np.exp(zj * t) * fhat(zj) for zj in z]) * 1j * params.mu * np.cos(w)
+    full = math.fsum(terms.imag) * params.dxi / (2.0 * math.pi)
+    scale = max(1.0, np.abs(terms).sum() * params.dxi / (2.0 * math.pi))
+    assert abs(math.fsum(terms.real)) * params.dxi / (2.0 * math.pi) <= 1e-13 * scale
+    assert abs(laplace_invert_scalar(fhat, t, M) - full) <= 1e-13 * scale
 
 
 @pytest.fixture(scope="module")

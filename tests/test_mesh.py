@@ -1,6 +1,7 @@
 """Mesh generation, grading audit, conformity and text round trip."""
 
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -95,6 +96,23 @@ def test_grading_single_triangle_at_unit_distance():
         msh = Mesh(verts, tris, edges, BETA, gamma, h)
         # r_tri = 1 makes the graded bound h * r**(1-1/gamma) = h for any gamma
         assert sf.verify_grading(msh).passed
+
+
+def test_mesh_rejects_clockwise_triangle(mesh_cache):
+    msh = mesh_cache(2 ** -3, 1.0)
+    tris = msh.triangles.copy()
+    tris[5, [1, 2]] = tris[5, [2, 1]]
+    named = re.escape(f"triangle 5 with vertices {tris[5].tolist()}")
+    with pytest.raises(ValueError, match=named + ".*clockwise or degenerate"):
+        Mesh(msh.vertices, tris, msh.boundary_edges, msh.beta, msh.gamma, msh.h_star)
+
+
+def test_mesh_rejects_degenerate_triangle():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    tris = np.array([[0, 1, 2], [1, 3, 2]])  # vertex 3 lies on edge 1-2
+    with pytest.raises(ValueError, match=r"triangle 1 with vertices \[1, 3, 2\]"):
+        Mesh(verts, tris, ((0, 1, EDGE_THETA0), (1, 2, EDGE_ARC), (2, 0, EDGE_THETA_MAX)),
+             BETA, 1.0, 0.5)
 
 
 def test_quasiuniform_diameter_ratio(mesh_cache):
