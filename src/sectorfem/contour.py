@@ -11,6 +11,7 @@ over j = -M..M folds onto j = 0..M, costing M+1 solves instead of 2M+1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,8 +45,8 @@ def make_contour(M: int, t: float) -> ContourParams:
     """Build the quadrature contour for target time t with half-count M >= 2."""
     if M < 2 or int(M) != M:
         raise ValueError(f"node half-count M must be an integer >= 2, got {M}")
-    if t <= 0:
-        raise ValueError(f"target time must be positive, got {t}")
+    if not 0 < t < math.inf:  # also rejects NaN
+        raise ValueError(f"target time must be positive and finite, got {t}")
     mu = MU_COEFF * M / t
     dxi = XI_COEFF / M
     w = DELTA - 1j * dxi * np.arange(M + 1)

@@ -74,6 +74,7 @@ class Mesh:
             raise ValueError(f"triangle {k} with vertices {self.triangles[k].tolist()} at "
                              f"{self.vertices[self.triangles[k]].tolist()} is clockwise or "
                              "degenerate (signed area <= 0)")
+        _check_conformity(self)
 
     @property
     def n_vertices(self) -> int:
@@ -86,6 +87,45 @@ class Mesh:
     @property
     def theta_max(self) -> float:
         return math.pi / self.beta
+
+
+def _check_conformity(mesh: Mesh) -> None:
+    """Raise ValueError unless the triangles form a conforming mesh.
+
+    Each undirected edge must lie in at most two triangles, and the edges
+    that lie in exactly one must be the tagged ``boundary_edges``, each
+    tagged once.  Edges are compared as one int64 key ``lo * nv + hi``.
+    """
+    nv = mesh.n_vertices
+    ends = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)])
+    keys = (ends.min(axis=0) * nv + ends.max(axis=0)).ravel()  # key k is in triangle k // 3
+    edges, counts = np.unique(keys, return_counts=True)
+
+    def described(key):
+        holders = (np.flatnonzero(keys == key) // 3).tolist()
+        return f"edge ({key // nv}, {key % nv}) of triangle(s) {holders}"
+
+    crowded = edges[counts > 2]
+    if crowded.size:
+        raise ValueError(f"{described(crowded[0])} is shared by more than two triangles")
+    ij = np.array([(i, j) for i, j, _ in mesh.boundary_edges], dtype=np.int64).reshape(-1, 2)
+    tagged, tag_counts = np.unique(ij.min(axis=1) * nv + ij.max(axis=1), return_counts=True)
+    if np.any(tag_counts > 1):
+        key = tagged[tag_counts > 1][0]
+        raise ValueError(f"boundary edge ({key // nv}, {key % nv}) is tagged more than once")
+    once = edges[counts == 1]
+    untagged = np.setdiff1d(once, tagged, assume_unique=True)
+    if untagged.size:
+        raise ValueError(f"{described(untagged[0])} lies in one triangle only but is not "
+                         "a tagged boundary edge")
+    interior = np.setdiff1d(tagged, once, assume_unique=True)
+    if interior.size:
+        key = interior[0]
+        if key in edges:
+            raise ValueError(f"{described(key)} is tagged as a boundary edge but is "
+                             "shared by two triangles")
+        raise ValueError(f"boundary edge ({key // nv}, {key % nv}) is not an edge of "
+                         "any triangle")
 
 
 @dataclass(frozen=True)
@@ -123,8 +163,8 @@ def generate_sector_mesh(beta: float, h_star: float, gamma: float) -> Mesh:
         raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
     if not (0.0 < h_star <= 0.5):
         raise ValueError(f"h_star must lie in (0, 1/2], got {h_star}")
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    if not (1.0 <= gamma < math.inf):
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
 
     theta_max = math.pi / beta
     radii = _ring_radii(h_star, gamma)
@@ -193,6 +233,9 @@ def _ring_radii(h_star: float, gamma: float) -> list:
         step = _local_step(r, h_star, gamma)
         if r + step >= 1.0:
             break
+        if r + step == r:  # h_star**gamma underflowed to 0, or the step to below an ulp
+            raise ValueError(f"h_star={h_star} and gamma={gamma} grade the mesh below "
+                             f"double precision: the ring radii stop growing at r={r}")
         r += step
         radii.append(r)
     gap = 1.0 - radii[-1]

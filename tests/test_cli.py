@@ -67,6 +67,9 @@ def test_solve_command_rejects_wrong_bc():
     (["converge", "--example", "elliptic", "--hstar-list", "2^-3^4"],
      "argument --hstar-list: invalid entry '2^-3^4'"),
     (["solve", "--example", "2", "--hstar", "2^x"], "argument --hstar: invalid entry '2^x'"),
+    (["mesh", "--hstar", "2^-2", "--gamma", "nan"], "gamma must be finite and >= 1"),
+    (["solve", "--example", "2", "--hstar", "2^-2", "--t", "inf"],
+     "target time must be positive and finite"),
 ])
 def test_parameter_errors_exit_with_usage_message(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"

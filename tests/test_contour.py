@@ -46,6 +46,11 @@ def test_contour_rejects_bad_arguments():
         make_contour(8, 0.0)
     with pytest.raises(ValueError):
         make_contour(8, -2.0)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_contour(8, t)
+    with pytest.raises(ValueError, match="positive and finite"):
+        laplace_invert_scalar(lambda z: 1.0 / (z + 1.0), math.inf)
 
 
 def test_scalar_exponential_pair():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sectorfem as sf
 from sectorfem import fem
@@ -61,6 +63,18 @@ def test_stiffness_annihilates_constants(mesh_cache):
     msh = mesh_cache(2 ** -4, 1.5)
     S = fem.assemble_stiffness(msh, fem.unconstrained_dofmap(msh), 2.7)
     assert np.max(np.abs(S @ np.ones(msh.n_vertices))) < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(beta=st.floats(0.55, 0.95), h_star=st.sampled_from([2 ** -2, 2 ** -3, 2 ** -4]),
+       gamma=st.floats(1.0, 3.0))
+def test_mass_sums_to_area_and_stiffness_annihilates_constants(beta, h_star, gamma):
+    msh = sf.generate_sector_mesh(beta, h_star, gamma)
+    dm = fem.unconstrained_dofmap(msh)
+    M = fem.assemble_mass(msh, dm)
+    assert M.sum() == pytest.approx(triangle_areas(msh).sum(), rel=1e-13)
+    S = fem.assemble_stiffness(msh, dm, 1.0)
+    assert np.max(np.abs(S @ np.ones(msh.n_vertices))) <= 1e-12 * np.max(np.abs(S.data))
 
 
 def test_dofmap_dirichlet_constrains_all_boundary(mesh_cache):

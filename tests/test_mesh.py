@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sectorfem as sf
 from sectorfem.mesh import (EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh,
@@ -17,7 +19,9 @@ BETA = 2.0 / 3.0
 
 
 @pytest.mark.parametrize("bad", [dict(beta=0.4), dict(beta=1.0), dict(h_star=0.6),
-                                 dict(h_star=0.0), dict(h_star=-0.1), dict(gamma=0.9)])
+                                 dict(h_star=0.0), dict(h_star=-0.1), dict(gamma=0.9),
+                                 dict(gamma=math.nan), dict(gamma=math.inf),
+                                 dict(gamma=1e308), dict(h_star=2 ** -6, gamma=1000.0)])
 def test_generate_rejects_bad_parameters(bad):
     kwargs = dict(beta=BETA, h_star=0.125, gamma=1.5)
     kwargs.update(bad)
@@ -31,10 +35,8 @@ def test_positive_areas_and_origin_vertex(mesh_cache):
     assert np.hypot(*msh.vertices[0]) == 0.0
 
 
-@pytest.mark.parametrize("gamma", [1.0, 1.5, 3.0])
-@pytest.mark.parametrize("h_star", [2 ** -3, 2 ** -5])
-def test_conformity(mesh_cache, gamma, h_star):
-    msh = mesh_cache(h_star, gamma)
+def assert_conforming(msh):
+    """Loop reference for the vectorised conformity check in Mesh."""
     counts = Counter()
     for tri in msh.triangles:
         for a, b in ((0, 1), (1, 2), (2, 0)):
@@ -43,6 +45,72 @@ def test_conformity(mesh_cache, gamma, h_star):
     boundary = {e for e, c in counts.items() if c == 1}
     tagged = {frozenset((i, j)) for i, j, _ in msh.boundary_edges}
     assert boundary == tagged
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("h_star", [2 ** -3, 2 ** -5])
+def test_conformity(mesh_cache, gamma, h_star):
+    assert_conforming(mesh_cache(h_star, gamma))
+
+
+@settings(max_examples=10, deadline=None)
+@given(beta=st.floats(0.55, 0.95), h_star=st.sampled_from([2 ** -2, 2 ** -3, 2 ** -4]),
+       gamma=st.floats(1.0, 3.0))
+def test_generated_meshes_conform(beta, h_star, gamma):
+    # generation builds a Mesh, whose own check has passed; the loop agrees
+    assert_conforming(sf.generate_sector_mesh(beta, h_star, gamma))
+
+
+def test_mesh_rejects_edge_in_three_triangles(mesh_cache):
+    msh = mesh_cache(2 ** -3, 1.0)
+    nt = msh.n_triangles
+    k = nt // 2  # an interior triangle: every edge already lies in two
+    tris = np.vstack([msh.triangles, msh.triangles[k]])
+    with pytest.raises(ValueError, match="shared by more than two triangles") as exc:
+        Mesh(msh.vertices, tris, msh.boundary_edges, msh.beta, msh.gamma, msh.h_star)
+    holders = re.search(r"triangle\(s\) \[([\d, ]+)\]", str(exc.value)).group(1)
+    assert {k, nt} <= {int(v) for v in holders.split(",")}
+
+
+def _interior_edge(msh):
+    tagged = {frozenset((i, j)) for i, j, _ in msh.boundary_edges}
+    for k, tri in enumerate(msh.triangles):
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            if frozenset((tri[a], tri[b])) not in tagged:
+                return k, int(tri[a]), int(tri[b])
+
+
+@pytest.mark.parametrize("fault", ["missing", "interior", "stray", "duplicate"])
+def test_read_rejects_nonconforming_boundary(tmp_path, mesh_cache, fault):
+    msh = mesh_cache(2 ** -3, 1.5)
+    path = tmp_path / "mesh.txt"
+    sf.write_mesh(msh, path)
+    lines = path.read_text().splitlines()
+    arc = next(k for k, text in enumerate(lines) if text.endswith(EDGE_ARC))
+    i, j, _ = lines[arc].split()
+    if fault == "missing":
+        del lines[arc]
+        named = rf"edge \({min(int(i), int(j))}, {max(int(i), int(j))}\) of triangle\(s\) \[\d+\]"
+        message = "lies in one triangle only but is not a tagged boundary edge"
+    elif fault == "interior":
+        k, a, b = _interior_edge(msh)
+        lines.append(f"{a} {b} {EDGE_ARC}")
+        named = rf"of triangle\(s\) \[[\d, ]*\b{k}\b"
+        message = "tagged as a boundary edge but is shared by two triangles"
+    elif fault == "stray":  # the corner and an arc vertex share no triangle
+        lines.append(f"0 {i} {EDGE_ARC}")
+        named = rf"boundary edge \(0, {i}\)"
+        message = "is not an edge of any triangle"
+    else:
+        lines.append(lines[arc])
+        named = "boundary edge"
+        message = "is tagged more than once"
+    header = lines[0].split()
+    header[4] = str(len(lines) - 1 - msh.n_vertices - msh.n_triangles)
+    lines[0] = " ".join(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{named}.*{message}"):
+        sf.read_mesh(path)
 
 
 def test_boundary_tags_match_geometry(mesh_cache):

@@ -1,6 +1,9 @@
 """Special function values against closed forms and high-precision references."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
+import sectorfem
 from sectorfem import specialfn as sfn
 from sectorfem.contour import laplace_invert_scalar
 
@@ -29,8 +33,16 @@ ML_REFERENCE = {
     (0.02, 50.0): 0.019381083059974081,
 }
 
-# Frozen from bracketing + Brent on an independent Bessel implementation.
-FIRST_ZEROS = {1.0 / 3.0: 2.902586248417, 0.5: math.pi, 2.0 / 3.0: 3.375610652694}
+# First positive zeros of J_nu from mpmath.besseljzero at 40 digits, rounded to 20.
+FIRST_ZEROS = {
+    0.25: 2.7808877239949776268,
+    1.0 / 3.0: 2.9025862484169524802,
+    0.5: math.pi,
+    2.0 / 3.0: 3.3756106526936204926,
+    1.0: 3.8317059702075123156,
+    1.5: 4.4934094579090641753,
+    2.0: 5.1356223018406825563,
+}
 
 
 def test_mittag_leffler_at_zero_is_one():
@@ -139,14 +151,43 @@ def test_bessel_rejects_out_of_range():
         sfn.bessel_j(1.0, 21.0)
     with pytest.raises(ValueError):
         sfn.bessel_j(1.0, -1.0)
+    with pytest.raises(ValueError):
+        sfn.bessel_j(1.0, math.nan)
+    with pytest.raises(ValueError):
+        sfn.bessel_j(1.0, np.array([1.0, math.nan]))
 
 
 def test_first_bessel_zeros():
     for nu, ref in FIRST_ZEROS.items():
         z = sfn.first_bessel_zero(nu)
         assert z == pytest.approx(ref, abs=1e-10)
+        assert abs(z - ref) <= math.ulp(ref)
         assert abs(sfn.bessel_j(nu, z)) < 1e-12
         assert sfn.bessel_j(nu, z - 0.05) > 0  # first zero, not a later one
+
+
+def test_import_does_not_load_scipy_optimize():
+    # the zero finder bisects with scipy.special.jv, so importing the
+    # package leaves scipy.optimize and the modules it pulls in unloaded
+    src = os.path.dirname(os.path.dirname(sectorfem.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, sectorfem; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+def test_first_bessel_zero_matches_scipy_brentq():
+    # the port of Brent's method reproduces scipy's, so no answer moves
+    from scipy.optimize import brentq
+
+    xs = np.linspace(1e-3, 6.0, 1201)
+    for nu in np.linspace(0.01, 2.0, 100):
+        vals = jv(nu, xs)
+        k = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
+        ref = brentq(lambda x: jv(nu, x), xs[k], xs[k + 1], xtol=1e-14, rtol=8.9e-16)
+        assert sfn.first_bessel_zero(nu) == ref
 
 
 def test_first_bessel_zero_monotone_in_order():
