@@ -43,7 +43,7 @@ class ContourParams:
 
 def make_contour(M: int, t: float) -> ContourParams:
     """Build the quadrature contour for target time t with half-count M >= 2."""
-    if M < 2 or int(M) != M:
+    if not (2 <= M < math.inf and M == math.floor(M)):  # also rejects NaN
         raise ValueError(f"node half-count M must be an integer >= 2, got {M}")
     if not 0 < t < math.inf:  # also rejects NaN
         raise ValueError(f"target time must be positive and finite, got {t}")

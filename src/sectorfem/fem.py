@@ -1,33 +1,35 @@
 """P1 finite element machinery on sector meshes.
 
 Provides the dof numbering with Dirichlet/mixed constraint elimination,
-mass/stiffness/load assembly, the L2 projector, and the sparse linear
-solvers (real SPD and complex symmetric) used by the inverse-Laplace time
-integration.  Matrices are scipy CSR arrays, symmetric by construction;
-coefficient vectors are plain numpy arrays over the free dofs.
+mass/stiffness/load assembly, the L2 projector, quadrature of fields on the
+mesh, and the sparse linear solvers (real SPD and complex symmetric) used by
+the inverse-Laplace time integration.  Matrices are scipy CSR arrays,
+symmetric by construction; coefficient vectors are plain numpy arrays over
+the free dofs.
 
-Both direct solvers share one SuperLU path.  It orders the columns by
-minimum degree on the pattern of A^T + A and runs SuperLU in symmetric
-mode, which suits the symmetric pattern of every system here and needs
-less fill than the default COLAMD ordering.  Partial pivoting stays at
-SuperLU's default; supernode relaxation and panel width are set small,
-which factors these systems faster.  The CSR arrays of A go to SuperLU as
-the CSC arrays of A^T, so no conversion copies the matrix, and the solves
-use that factor transposed.  The relative residual is computed after the
-first solve; one step of iterative refinement runs only when it exceeds
-1e-10, and the result must then meet 1e-10 or SolverError is raised.  The L2
-projector solves with the mass matrix by Jacobi-preconditioned conjugate
-gradients instead: the diagonally scaled P1 mass matrix has a condition
-number bounded independently of the mesh and its grading (Wathen, IMA J.
-Numer. Anal. 7, 1987).  It is held to the same 1e-10 residual contract.
+Every solve, the L2 projection's mass solve included, runs on one SuperLU
+path.  It orders the columns by minimum degree on the pattern of A^T + A
+and runs SuperLU in symmetric mode, which suits the symmetric pattern of
+every system here and needs less fill than the default COLAMD ordering.
+Partial pivoting stays at SuperLU's default; supernode relaxation and panel
+width are set small, which factors these systems faster.  The CSR arrays of
+A go to SuperLU as the CSC arrays of A^T, so no conversion copies the
+matrix, and the solves use that factor transposed.  The relative residual
+is computed after the first solve; one step of iterative refinement runs
+only when it exceeds 1e-10, and the result must then meet 1e-10 or
+SolverError is raised.
 
 Quadrature near the corner follows one geometric policy,
-:func:`element_quad_points`, which load assembly and the error norms in
-``harness`` share: every element gets the same symmetric rule, and the
+:func:`element_quad_points`: every element gets the same symmetric rule
+(tabulated at degree 4 or 6, a conical product rule above 6), and the
 elements with a vertex at the re-entrant corner get it on each of their
 four midpoint-refinement children, so integrands with an r**(beta-1)
 singularity there are sampled more densely.  The policy reads only the
 vertex coordinates, never the generation metadata of the mesh.
+:func:`integrate` is the one kernel that applies it to a scalar integral
+(the error norms in ``harness`` are built on it), and :func:`field_values`
+is the one place a field is evaluated at quadrature points and checked to
+be finite.
 
 Load assembly is split in two.  ``LoadQuadrature`` is the mesh-only part:
 the element groups, their quadrature points, element areas and free dofs.
@@ -60,14 +62,6 @@ MIXED = "mixed"
 # points only, so integrands with an r**(beta-1) corner singularity are
 # never sampled at the corner itself.
 _TRI_RULES = {
-    2: (
-        np.array([
-            [2 / 3, 1 / 6, 1 / 6],
-            [1 / 6, 2 / 3, 1 / 6],
-            [1 / 6, 1 / 6, 2 / 3],
-        ]),
-        np.array([1 / 3, 1 / 3, 1 / 3]),
-    ),
     4: (
         np.array([
             [0.108103018168070, 0.445948490915965, 0.445948490915965],
@@ -79,20 +73,6 @@ _TRI_RULES = {
         ]),
         np.array([0.223381589678011, 0.223381589678011, 0.223381589678011,
                   0.109951743655322, 0.109951743655322, 0.109951743655322]),
-    ),
-    5: (
-        np.array([
-            [1 / 3, 1 / 3, 1 / 3],
-            [0.059715871789770, 0.470142064105115, 0.470142064105115],
-            [0.470142064105115, 0.059715871789770, 0.470142064105115],
-            [0.470142064105115, 0.470142064105115, 0.059715871789770],
-            [0.797426985353087, 0.101286507323456, 0.101286507323456],
-            [0.101286507323456, 0.797426985353087, 0.101286507323456],
-            [0.101286507323456, 0.101286507323456, 0.797426985353087],
-        ]),
-        np.array([0.225,
-                  0.132394152788506, 0.132394152788506, 0.132394152788506,
-                  0.125939180544827, 0.125939180544827, 0.125939180544827]),
     ),
     6: (
         np.array([
@@ -137,7 +117,7 @@ def _conical_rule(n: int):
 
 
 def triangle_rule(degree: int):
-    """Symmetric tabulated rule (degree <= 6) or conical product rule above."""
+    """A rule exact to at least ``degree``: tabulated up to 6, conical product above."""
     if degree < 2:
         raise ValueError(f"quadrature degree must be >= 2, got {degree}")
     for d in sorted(_TRI_RULES):
@@ -279,6 +259,34 @@ def element_quad_points(mesh: Mesh, degree: int):
     return [group for group in groups if group[0].size]
 
 
+def field_values(g: Callable, x: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
+    """``g(x, y)`` as an array; ValueError naming the first point where it is not finite.
+
+    ``g`` may return one value per point or a tuple of them (a gradient).
+    """
+    vals = np.asarray(g(x, y))
+    if not np.all(np.isfinite(vals)):
+        k = np.flatnonzero(~np.isfinite(vals))[0] % x.size
+        raise ValueError(f"{what} returned non-finite value at "
+                         f"({x.flat[k]:.6g}, {y.flat[k]:.6g})")
+    return vals
+
+
+def integrate(mesh: Mesh, integrand: Callable, degree: int) -> float:
+    """Integral over the mesh by the quadrature of :func:`element_quad_points`.
+
+    ``integrand(ids, pts, x, y)`` gets each group's element ids, barycentric
+    points (q, 3) and point coordinates x, y (e, q), and returns its values
+    (e, q) at those points.
+    """
+    areas = triangle_areas(mesh)
+    total = 0.0
+    for ids, pts, w in element_quad_points(mesh, degree):
+        x, y = quad_points(mesh, ids, pts)
+        total += float(areas[ids] @ (integrand(ids, pts, x, y) @ w))
+    return total
+
+
 class _LoadGroup(NamedTuple):
     x: np.ndarray       # (e, q) quadrature point coordinates
     y: np.ndarray
@@ -317,11 +325,7 @@ class LoadQuadrature:
         """Load vector b_i = integral of g * phi_i; see :func:`assemble_load`."""
         out = None
         for grp in self.groups:
-            vals = np.asarray(g(grp.x, grp.y))
-            if not np.all(np.isfinite(vals)):
-                e, q = np.argwhere(~np.isfinite(vals))[0]
-                raise ValueError("load field returned non-finite value at "
-                                 f"({grp.x[e, q]:.6g}, {grp.y[e, q]:.6g})")
+            vals = field_values(g, grp.x, grp.y, "load field")
             if out is None:
                 out = np.zeros(self.n_dofs, dtype=np.promote_types(vals.dtype, float))
             elif vals.dtype.kind == "c" and out.dtype.kind != "c":
@@ -347,18 +351,12 @@ def assemble_load(mesh: Mesh, dofmap: DofMap, g: Callable, quad_degree: int = 4)
 def l2_project(mesh: Mesh, dofmap: DofMap, u0: Callable, quad_degree: int = 4) -> np.ndarray:
     """Coefficients of the L2-orthogonal projection of u0 onto the FE space.
 
-    Solves M x = b by Jacobi-preconditioned CG; raises SolverError if CG
-    does not converge or the relative residual exceeds 1e-10.
+    Solves M x = b on the shared SuperLU path; raises SolverError if the
+    relative residual exceeds 1e-10.
     """
     mass = assemble_mass(mesh, dofmap)
     b = np.asarray(assemble_load(mesh, dofmap, u0, quad_degree), dtype=float)
-    # Jacobi-scaled P1 mass matrices are uniformly well conditioned, so CG
-    # converges in a few dozen iterations at any mesh size or grading.
-    jacobi = sp.diags_array(1.0 / mass.diagonal())
-    x, info = spla.cg(mass, b, rtol=1e-13, atol=0.0, M=jacobi)
-    if info != 0:
-        raise SolverError(f"L2 projection: CG did not converge (info={info})")
-    return _check_residual(mass, x, b, "L2 projection")
+    return _lu_solve(mass, b, "L2 projection")
 
 
 _RESIDUAL_TOL = 1e-10
@@ -369,16 +367,6 @@ _RESIDUAL_TOL = 1e-10
 # factors, with the same L+U fill; larger values were slower.
 _RELAX = 1
 _PANEL_SIZE = 1
-
-
-def _check_residual(A, x, b, context: str) -> np.ndarray:
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return x
-    res = np.linalg.norm(A @ x - b) / norm_b
-    if not np.isfinite(res) or res > _RESIDUAL_TOL:
-        raise SolverError(f"{context}: relative residual {res:.3e} exceeds 1e-10", res)
-    return x
 
 
 def _lu_solve(A: sp.sparray, b: np.ndarray, context: str) -> np.ndarray:
@@ -403,7 +391,10 @@ def _lu_solve(A: sp.sparray, b: np.ndarray, context: str) -> np.ndarray:
         x += lu.solve(r, trans="T")
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"{context} failed: {exc}") from exc
-    return _check_residual(A, x, b, context)
+    res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+    if not res <= _RESIDUAL_TOL:  # NaN fails too
+        raise SolverError(f"{context}: relative residual {res:.3e} exceeds 1e-10", res)
+    return x
 
 
 def solve_real_spd(A: sp.sparray, b: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 :func:`solve_spec` is the one solve path: it assembles and solves any
 problem spec on a given mesh and dof map, and both the convergence studies
 and the command line call it.  L2 and H1-seminorm errors are integrated
-with degree-6 symmetric triangle quadrature on the element groups of
-``fem.element_quad_points``, the corner policy load assembly uses too.
+by ``fem.integrate`` at degree 6, on the corner quadrature load assembly
+uses too.
 Convergence studies drive mesh generation and the solve over a sequence of
 mesh sizes, then report pairwise rates and least-squares slopes against
 both the dof count and the mesh parameter.
@@ -21,7 +21,7 @@ import numpy as np
 from . import fem
 from .contour import inverse_laplace_evolve
 from .fem import DofMap, SolverError, build_dofmap
-from .mesh import Mesh, generate_sector_mesh, triangle_areas
+from .mesh import Mesh, generate_sector_mesh
 from .problems import EllipticSpec
 
 
@@ -52,15 +52,6 @@ class ConvergenceReport:
     predictor: str = ""
 
 
-def _vertex_values(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray) -> np.ndarray:
-    if dofmap is None:
-        uh = np.asarray(uh, dtype=float)
-        if uh.shape[0] != mesh.n_vertices:
-            raise ValueError("without a dofmap, uh must hold one value per vertex")
-        return uh
-    return dofmap.expand(uh)
-
-
 def l2_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray, exact: Callable,
              quad_degree: int = 6) -> float:
     """L2 norm of (u_h - exact) over the mesh.
@@ -69,48 +60,40 @@ def l2_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray, exact: Callable,
     is None); ``exact(x, y)`` is evaluated at the quadrature points and must
     be finite there.
     """
-    values = _vertex_values(mesh, dofmap, uh)
-    areas = triangle_areas(mesh)
-    nodal = values[mesh.triangles]
-    total = 0.0
-    for ids, pts, w in fem.element_quad_points(mesh, quad_degree):
-        x, y = fem.quad_points(mesh, ids, pts)
-        uq = nodal[ids] @ pts.T
-        eq = np.asarray(exact(x, y))
-        if not np.all(np.isfinite(eq)):
-            e, q = np.argwhere(~np.isfinite(eq))[0]
-            raise ValueError("exact field returned non-finite value at "
-                             f"({x[e, q]:.6g}, {y[e, q]:.6g})")
-        total += float(areas[ids] @ ((uq - eq) ** 2 @ w))
-    return math.sqrt(total)
+    nodal = (dofmap or fem.unconstrained_dofmap(mesh)).expand(uh)[mesh.triangles]
+
+    def squared(ids, pts, x, y):
+        return (nodal[ids] @ pts.T - fem.field_values(exact, x, y, "exact field")) ** 2
+
+    return math.sqrt(fem.integrate(mesh, squared, quad_degree))
 
 
 def h1_seminorm_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray,
                       exact_grad: Callable, quad_degree: int = 6) -> float:
     """H1 seminorm of (u_h - exact): ||grad u_h - exact_grad||_L2.
 
-    ``exact_grad(x, y)`` returns the pair (du/dx, du/dy); the FE gradient is
-    constant per element.
+    ``exact_grad(x, y)`` returns the pair (du/dx, du/dy), which must be
+    finite at the quadrature points; the FE gradient is constant per element.
     """
-    values = _vertex_values(mesh, dofmap, uh)
-    areas, grads = fem.element_geometry(mesh)
+    values = (dofmap or fem.unconstrained_dofmap(mesh)).expand(uh)
+    _, grads = fem.element_geometry(mesh)
     guh = np.einsum("eb,ebd->ed", values[mesh.triangles], grads)
-    total = 0.0
-    for ids, pts, w in fem.element_quad_points(mesh, quad_degree):
-        gx, gy = exact_grad(*fem.quad_points(mesh, ids, pts))
-        if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
-            raise ValueError("exact gradient returned non-finite values")
-        dx = guh[ids, None, 0] - np.asarray(gx)
-        dy = guh[ids, None, 1] - np.asarray(gy)
-        total += float(areas[ids] @ ((dx ** 2 + dy ** 2) @ w))
-    return math.sqrt(total)
+
+    def squared(ids, pts, x, y):
+        gx, gy = fem.field_values(exact_grad, x, y, "exact gradient")
+        return (guh[ids, None, 0] - gx) ** 2 + (guh[ids, None, 1] - gy) ** 2
+
+    return math.sqrt(fem.integrate(mesh, squared, quad_degree))
 
 
-def _epsilon_cases(h: float, gamma: float, threshold: float, exponent: float) -> float:
+def _epsilon_cases(h: float, gamma: float, beta: float, exponent: float) -> float:
+    if not 0.5 < beta < 1:
+        raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
     if not 0 < h < 1:
         raise ValueError(f"h must lie in (0, 1), got {h}")
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
+    threshold = 1.0 / exponent
     if abs(gamma - threshold) <= 1e-12 * threshold:
         return h * math.sqrt(math.log1p(1.0 / h))
     if gamma < threshold:
@@ -125,16 +108,12 @@ def epsilon(h: float, gamma: float, beta: float) -> float:
     threshold, ``h*sqrt(log(1+1/h))`` at it, and ``h`` (up to a constant)
     above it.
     """
-    if not 0.5 < beta < 1:
-        raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
-    return _epsilon_cases(h, gamma, 1.0 / beta, beta)
+    return _epsilon_cases(h, gamma, beta, beta)
 
 
 def epsilon_mix(h: float, gamma: float, beta: float) -> float:
     """Refinement error predictor for mixed conditions (beta/2 singularity)."""
-    if not 0.5 < beta < 1:
-        raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
-    return _epsilon_cases(h, gamma, 2.0 / beta, beta / 2.0)
+    return _epsilon_cases(h, gamma, beta, beta / 2.0)
 
 
 def fit_rate(points: Sequence) -> float:
@@ -152,10 +131,8 @@ def fit_rate(points: Sequence) -> float:
 
 
 def _predictor_label(spec, gamma: float) -> str:
-    if spec.bc_kind == fem.DIRICHLET:
-        threshold, exponent = 1.0 / spec.beta, spec.beta
-    else:
-        threshold, exponent = 2.0 / spec.beta, spec.beta / 2.0
+    exponent = spec.beta if spec.bc_kind == fem.DIRICHLET else spec.beta / 2.0
+    threshold = 1.0 / exponent
     if abs(gamma - threshold) <= 1e-12 * threshold:
         return "L2~(h*sqrt(log(1+1/h)))^2"
     rate = 2.0 * min(gamma * exponent, 1.0)

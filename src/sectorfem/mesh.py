@@ -15,7 +15,7 @@ marked read-only) and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -233,9 +233,12 @@ def _ring_radii(h_star: float, gamma: float) -> list:
         step = _local_step(r, h_star, gamma)
         if r + step >= 1.0:
             break
-        if r + step == r:  # h_star**gamma underflowed to 0, or the step to below an ulp
+        # the step must not fall below an ulp of r, nor the areas of the
+        # corner triangles (about r**2) underflow
+        if r + step == r or r * r < np.finfo(float).tiny:
             raise ValueError(f"h_star={h_star} and gamma={gamma} grade the mesh below "
-                             f"double precision: the ring radii stop growing at r={r}")
+                             f"double precision: at ring radius r={r:.3g} the radii stop "
+                             "growing or the triangle areas underflow")
         r += step
         radii.append(r)
     gap = 1.0 - radii[-1]
@@ -445,20 +448,20 @@ def read_mesh(path, beta: float | None = None, gamma: float | None = None,
                 raise ValueError(f"unknown boundary edge tag {tag!r}")
             edges.append((int(i), int(j), tag))
 
-    # Built first so its index checks run before the inference below reads
-    # vertices through the edge list.
-    mesh = Mesh(verts, tris, tuple(edges), math.nan, math.nan, math.nan)
+    # Mesh checks the indices; until then, read vertices only through valid ones.
+    nv = len(verts)
     beta = meta.get("beta") if beta is None else beta
     gamma = meta.get("gamma", 1.0) if gamma is None else gamma
     h_star = meta.get("h_star") if h_star is None else h_star
     if beta is None:
         ids = {v for i, j, tag in edges if tag == EDGE_THETA_MAX for v in (i, j)}
-        ids = [v for v in ids if np.hypot(*verts[v]) > 1e-12]
+        ids = [v for v in ids if 0 <= v < nv and np.hypot(*verts[v]) > 1e-12]
         if not ids:
             raise ValueError("cannot infer beta: no theta_max edges present")
         far = max(ids, key=lambda v: np.hypot(*verts[v]))
         theta = math.atan2(verts[far][1], verts[far][0]) % (2 * math.pi)
         beta = math.pi / theta
-    if h_star is None:
-        h_star = float(triangle_diameters(mesh).max())
-    return replace(mesh, beta=beta, gamma=gamma, h_star=h_star)
+    if h_star is None:  # the longest triangle side
+        corners = verts.take(tris, axis=0, mode="clip")
+        h_star = float(np.linalg.norm(corners - np.roll(corners, 1, axis=1), axis=2).max())
+    return Mesh(verts, tris, tuple(edges), beta, gamma, h_star)

@@ -40,8 +40,9 @@ def test_contour_nodes_avoid_negative_axis():
 
 
 def test_contour_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        make_contour(1, 1.0)
+    for M in (1, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"node half-count M .* got {M}"):
+            make_contour(M, 1.0)
     with pytest.raises(ValueError):
         make_contour(8, 0.0)
     with pytest.raises(ValueError):

@@ -330,23 +330,6 @@ def test_project_matches_direct_mass_solve(assembled_cache):
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("cg_result", [
-    lambda x, b: (x, 5),              # CG reports non-convergence
-    lambda x, b: (x + 1e-3 * b, 0),   # CG claims success, residual is off
-])
-def test_project_cg_failure_raises(monkeypatch, mesh_cache, cg_result):
-    msh = mesh_cache(2 ** -3, 3.0)
-    dm = sf.build_dofmap(msh, fem.MIXED)
-    real_cg = spla.cg
-
-    def fake_cg(A, b, **kwargs):
-        return cg_result(real_cg(A, b, **kwargs)[0], b)
-
-    monkeypatch.setattr(fem.spla, "cg", fake_cg)
-    with pytest.raises(fem.SolverError, match="L2 projection"):
-        fem.l2_project(msh, dm, sf.example2(0.5).u0)
-
-
 @pytest.mark.parametrize("bc_kind", [fem.DIRICHLET, fem.MIXED])
 @pytest.mark.parametrize("alpha", [0.05, 0.95])
 @pytest.mark.parametrize("t", [1e-3, 1e3])
@@ -426,21 +409,19 @@ def test_solve_complex_nonsymmetric_pair_matches_dense_solve():
 
 
 class _CountingLU:
-    """SuperLU proxy that counts solves and can spoil the first one."""
+    """SuperLU proxy that counts solves and spoils the first ``spoil`` of them."""
 
     def __init__(self, lu, spoil):
-        self.lu, self.spoil, self.solves = lu, spoil, 0
+        self.lu, self.spoil, self.solves = lu, int(spoil), 0
 
     def solve(self, rhs, trans="N"):
         self.solves += 1
         x = self.lu.solve(rhs, trans=trans)
-        return x * (1.0 + 1e-6) if self.spoil and self.solves == 1 else x
+        return x * (1.0 + 1e-3) if self.solves <= self.spoil else x
 
 
-@pytest.mark.parametrize("spoil, solves", [(False, 1), (True, 2)])
-def test_refinement_runs_only_when_residual_misses_contract(monkeypatch, assembled_cache,
-                                                            spoil, solves):
-    msh, dm, M, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
+def _spoil_splu(monkeypatch, spoil):
+    """Route fem's SuperLU factorizations through _CountingLU; returns the list of proxies."""
     made = []
     real_splu = spla.splu
 
@@ -449,11 +430,31 @@ def test_refinement_runs_only_when_residual_misses_contract(monkeypatch, assembl
         return made[-1]
 
     monkeypatch.setattr(fem.spla, "splu", splu)
+    return made
+
+
+@pytest.mark.parametrize("spoil, solves", [(False, 1), (True, 2)])
+def test_refinement_runs_only_when_residual_misses_contract(monkeypatch, assembled_cache,
+                                                            spoil, solves):
+    msh, dm, M, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
+    made = _spoil_splu(monkeypatch, spoil)
     b = np.ones(dm.n_dofs, dtype=complex)
     z = 2.0 + 3.0j
     x = fem.solve_complex_symmetric(z, M, S, b)
     assert made[0].solves == solves
     assert np.linalg.norm((z * M + S) @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_project_raises_when_refinement_misses_contract(monkeypatch, mesh_cache):
+    # the first solve and the refinement are both spoiled, so the mass solve
+    # ends 1e-6 off and the projection must refuse it
+    msh = mesh_cache(2 ** -3, 3.0)
+    dm = sf.build_dofmap(msh, fem.MIXED)
+    made = _spoil_splu(monkeypatch, 2)
+    with pytest.raises(fem.SolverError, match="L2 projection") as info:
+        fem.l2_project(msh, dm, sf.example2(0.5).u0)
+    assert made[0].solves == 2
+    assert info.value.residual > 1e-10
 
 
 def test_solver_error_carries_residual():

@@ -1,6 +1,7 @@
 """Error norms, refinement predictors, rate fitting and report output."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ def test_l2_error_reports_nonfinite_exact(mesh_cache):
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="non-finite"):
         sf.l2_error(msh, None, np.zeros(msh.n_vertices), lambda x, y: x / (y - y))
+
+
+def test_h1_error_names_a_nonfinite_gradient_point(mesh_cache):
+    msh = mesh_cache(2 ** -3, 1.0)
+
+    def grad(x, y):
+        return np.zeros_like(x), np.where(x > 0.5, np.nan, 0.0)
+
+    with pytest.raises(ValueError, match="exact gradient returned non-finite value at") as info:
+        sf.h1_seminorm_error(msh, None, np.zeros(msh.n_vertices), grad)
+    x, _ = map(float, re.search(r"at \((\S+), (\S+)\)", str(info.value)).groups())
+    assert x > 0.5
 
 
 def test_h1_error_zero_for_matching_gradient(mesh_cache):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sectorfem as sf
+from sectorfem import mesh as mesh_module
 from sectorfem.mesh import (EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh,
                             triangle_areas, triangle_diameters,
                             triangle_origin_distances)
@@ -21,12 +22,18 @@ BETA = 2.0 / 3.0
 @pytest.mark.parametrize("bad", [dict(beta=0.4), dict(beta=1.0), dict(h_star=0.6),
                                  dict(h_star=0.0), dict(h_star=-0.1), dict(gamma=0.9),
                                  dict(gamma=math.nan), dict(gamma=math.inf),
-                                 dict(gamma=1e308), dict(h_star=2 ** -6, gamma=1000.0)])
+                                 dict(gamma=1e308), dict(h_star=2 ** -6, gamma=1000.0),
+                                 dict(h_star=0.5, gamma=1000.0),
+                                 dict(h_star=0.25, gamma=500.0)])
 def test_generate_rejects_bad_parameters(bad):
     kwargs = dict(beta=BETA, h_star=0.125, gamma=1.5)
     kwargs.update(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         sf.generate_sector_mesh(**kwargs)
+    if kwargs["gamma"] in (500.0, 1000.0):
+        # the first ring radius is nonzero but its triangles' areas underflow
+        assert (f"h_star={kwargs['h_star']} and gamma={kwargs['gamma']} grade the mesh "
+                "below double precision") in str(info.value)
 
 
 def test_positive_areas_and_origin_vertex(mesh_cache):
@@ -329,23 +336,54 @@ def test_solution_does_not_depend_on_mesh_metadata(tmp_path, assembled_cache):
     assert sf.l2_error(bare, dm_bare, got, exact) == sf.l2_error(msh, dm, ref, exact)
 
 
+def _strip_metadata(path):
+    lines = path.read_text().splitlines()
+    lines[0] = " ".join(lines[0].split()[:6])
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("index", ["-1", "n_vertices"])
 @pytest.mark.parametrize("line", ["triangle", "boundary_edge"])
 def test_read_rejects_out_of_range_index(tmp_path, mesh_cache, line, index):
     msh = mesh_cache(2 ** -2, 1.0)
     path = tmp_path / "mesh.txt"
+    # without the metadata suffix read_mesh infers beta and h_star from the
+    # vertices before Mesh checks the indices; that must not fail first
+    for metadata in (True, False):
+        sf.write_mesh(msh, path)
+        if not metadata:
+            _strip_metadata(path)
+        lines = path.read_text().splitlines()
+        if line == "triangle":
+            k = 1 + msh.n_vertices
+        else:  # a theta_max edge, which beta is inferred from
+            k = next(k for k, text in enumerate(lines) if text.endswith(EDGE_THETA_MAX))
+        fields = lines[k].split()
+        fields[1] = str(-1 if index == "-1" else msh.n_vertices)
+        lines[k] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"outside \[0, {msh.n_vertices}\)"):
+            sf.read_mesh(path)
+
+
+@pytest.mark.parametrize("metadata", [True, False])
+def test_read_builds_the_mesh_once(tmp_path, mesh_cache, monkeypatch, metadata):
+    msh = mesh_cache(2 ** -3, 3.0)
+    path = tmp_path / "mesh.txt"
     sf.write_mesh(msh, path)
-    lines = path.read_text().splitlines()
-    if line == "triangle":
-        k = 1 + msh.n_vertices
-    else:  # a theta_max edge: read_mesh infers beta from its vertices
-        k = next(k for k, text in enumerate(lines) if text.endswith(EDGE_THETA_MAX))
-    fields = lines[k].split()
-    fields[1] = str(-1 if index == "-1" else msh.n_vertices)
-    lines[k] = " ".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"outside \[0, {msh.n_vertices}\)"):
-        sf.read_mesh(path)
+    if not metadata:
+        _strip_metadata(path)
+    calls = []
+    real = mesh_module._check_conformity
+    monkeypatch.setattr(mesh_module, "_check_conformity",
+                        lambda m: calls.append(m) or real(m))
+    got = sf.read_mesh(path)
+    assert len(calls) == 1
+    assert np.array_equal(got.vertices, msh.vertices)
+    if metadata:
+        assert (got.beta, got.gamma, got.h_star) == (msh.beta, msh.gamma, msh.h_star)
+    else:
+        assert got.h_star == triangle_diameters(msh).max()
 
 
 def test_mesh_immutable(mesh_cache):
