@@ -103,6 +103,19 @@ def uhat_solve(z: complex, alpha: float, mass, stiffness, u0h: np.ndarray,
     return _node_solve(z, alpha, mass, stiffness, mass @ np.asarray(u0h), fhat_load)
 
 
+def _load_vectors(problem, mesh, dofmap):
+    """The u0 load vector and, for a problem with a source, the loader ``z -> b(z)``.
+
+    Only the loader keeps the load quadrature, so without a source it is
+    released once the u0 vector is built.
+    """
+    quad = fem.LoadQuadrature(mesh, dofmap)
+    b0 = quad.load(problem.u0)
+    if problem.fhat is None:
+        return b0, None
+    return b0, lambda z: quad.load(problem.fhat(z))
+
+
 def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
                            M: int = 8) -> np.ndarray:
     """Semidiscrete solution at time t via the folded contour quadrature.
@@ -114,17 +127,11 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
     of u0, so it is assembled directly and neither the projection nor a
     mass solve is done.  The mesh-only load quadrature is built once per
     evolve and serves both that vector and, with a source, the transformed
-    field ``problem.fhat(z)``, which is evaluated and reduced at each node.
+    field ``problem.fhat(z)``, which is evaluated and reduced at each node;
+    without a source it is freed before the first node is factored.
     """
     params = make_contour(M, t)
-    quad = fem.LoadQuadrature(mesh, dofmap)
-    b0 = quad.load(problem.u0)
-    if problem.fhat is not None:
-        def fhat_load(z):
-            return quad.load(problem.fhat(z))
-    else:
-        fhat_load = None
-
+    b0, fhat_load = _load_vectors(problem, mesh, dofmap)
     terms = np.empty((M + 1, dofmap.n_dofs), dtype=complex)
     for j, (z, dz) in enumerate(zip(params.nodes, params.dnodes)):
         try:

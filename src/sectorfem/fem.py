@@ -45,6 +45,7 @@ matrices are safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -118,8 +119,9 @@ def _conical_rule(n: int):
 
 def triangle_rule(degree: int):
     """A rule exact to at least ``degree``: tabulated up to 6, conical product above."""
-    if degree < 2:
-        raise ValueError(f"quadrature degree must be >= 2, got {degree}")
+    if not (2 <= degree < math.inf and degree == math.floor(degree)):  # also rejects NaN
+        raise ValueError(f"quadrature degree must be an integer >= 2, got {degree}")
+    degree = int(degree)
     for d in sorted(_TRI_RULES):
         if d >= degree:
             return _TRI_RULES[d]
@@ -199,8 +201,12 @@ def quad_points(mesh: Mesh, ids: np.ndarray, pts: np.ndarray):
 
 
 def _scatter(mesh: Mesh, dofmap: DofMap, local: np.ndarray) -> sp.csr_array:
-    """Accumulate per-element 3x3 blocks into the free-dof CSR matrix."""
-    dofs = dofmap.vertex_to_dof[mesh.triangles]
+    """Accumulate per-element 3x3 blocks into the free-dof CSR matrix.
+
+    The indices are int32, which halves the index arrays of the matrix and
+    of every node matrix summed from it; SuperLU takes int32 indices too.
+    """
+    dofs = dofmap.vertex_to_dof[mesh.triangles].astype(np.int32)
     rows = np.repeat(dofs, 3, axis=1).ravel()
     cols = np.tile(dofs, (1, 3)).ravel()
     vals = local.ravel()
@@ -223,8 +229,8 @@ def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_array:
 
 def assemble_stiffness(mesh: Mesh, dofmap: DofMap, K: float = 1.0) -> sp.csr_array:
     """Stiffness matrix S_ij = K * integral of grad phi_i . grad phi_j."""
-    if K <= 0:
-        raise ValueError(f"diffusivity K must be positive, got {K}")
+    if not 0 < K < math.inf:  # also rejects NaN
+        raise ValueError(f"diffusivity K must be positive and finite, got {K}")
     areas, grads = element_geometry(mesh)
     local = K * areas[:, None, None] * np.einsum("eid,ejd->eij", grads, grads)
     return _scatter(mesh, dofmap, local)
@@ -272,18 +278,33 @@ def field_values(g: Callable, x: np.ndarray, y: np.ndarray, what: str) -> np.nda
     return vals
 
 
+# Elements per block in :func:`integrate`.  A block's (e, q) point and
+# integrand arrays then stay a few hundred kB, instead of tens of MB for a
+# whole graded mesh at degree 6.  A power of two is a multiple of the row
+# unroll of BLAS matrix-vector kernels, so each element's sum is rounded
+# exactly as in one product over its whole group.
+_INTEGRATE_BLOCK = 4096
+
+
 def integrate(mesh: Mesh, integrand: Callable, degree: int) -> float:
     """Integral over the mesh by the quadrature of :func:`element_quad_points`.
 
-    ``integrand(ids, pts, x, y)`` gets each group's element ids, barycentric
+    ``integrand(ids, pts, x, y)`` gets element ids, the group's barycentric
     points (q, 3) and point coordinates x, y (e, q), and returns its values
-    (e, q) at those points.
+    (e, q) at those points.  It is called on blocks of at most
+    ``_INTEGRATE_BLOCK`` elements of a group, so no (e, q) array spans a
+    whole group; the group's per-element sums are then reduced with one
+    dot product.
     """
     areas = triangle_areas(mesh)
     total = 0.0
     for ids, pts, w in element_quad_points(mesh, degree):
-        x, y = quad_points(mesh, ids, pts)
-        total += float(areas[ids] @ (integrand(ids, pts, x, y) @ w))
+        per_element = np.empty(ids.size)
+        for start in range(0, ids.size, _INTEGRATE_BLOCK):
+            block = ids[start:start + _INTEGRATE_BLOCK]
+            x, y = quad_points(mesh, block, pts)
+            per_element[start:start + block.size] = integrand(block, pts, x, y) @ w
+        total += float(areas[ids] @ per_element)
     return total
 
 

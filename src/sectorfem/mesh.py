@@ -171,33 +171,31 @@ def generate_sector_mesh(beta: float, h_star: float, gamma: float) -> Mesh:
 
     # Angular interval count per ring, matched to the local radial step so
     # element aspect ratios stay bounded.
-    counts = [max(3, round(theta_max * r / _local_step(r, h_star, gamma)))
-              for r in radii]
+    counts = np.array([max(3, round(theta_max * r / _local_step(r, h_star, gamma)))
+                       for r in radii])
+    sizes = counts + 1
+    first = np.cumsum(sizes) - sizes + 1  # id of each ring's theta = 0 vertex
+    last = first + counts
 
-    verts = [(0.0, 0.0)]
-    ring_ids = []
-    for r, k in zip(radii, counts):
-        ids = list(range(len(verts), len(verts) + k + 1))
-        ring_ids.append(ids)
-        ang = theta_max * np.arange(k + 1) / k
-        verts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
+    # vertex 0 is the corner, then ring after ring from theta = 0 to theta_max
+    ring = np.repeat(np.arange(counts.size), sizes)
+    ang = theta_max * (np.arange(ring.size) - (first - 1)[ring]) / counts[ring]
+    r = np.array(radii)[ring]
+    verts = np.zeros((ring.size + 1, 2))
+    verts[1:, 0] = r * np.cos(ang)
+    verts[1:, 1] = r * np.sin(ang)
 
-    tris = []
-    first = ring_ids[0]
-    for j in range(len(first) - 1):
-        tris.append((0, first[j], first[j + 1]))
-    for bot, top in zip(ring_ids[:-1], ring_ids[1:]):
-        _zip_rings(bot, top, tris)
+    fan = np.arange(first[0], last[0])
+    corner = np.column_stack([np.zeros_like(fan), fan, fan + 1])
+    tris = np.vstack([corner, _ring_strips(first[:-1], counts[:-1], first[1:], counts[1:])])
 
-    edges = [(0, first[0], EDGE_THETA0), (0, first[-1], EDGE_THETA_MAX)]
-    for bot, top in zip(ring_ids[:-1], ring_ids[1:]):
-        edges.append((bot[0], top[0], EDGE_THETA0))
-        edges.append((bot[-1], top[-1], EDGE_THETA_MAX))
-    outer = ring_ids[-1]
-    for j in range(len(outer) - 1):
-        edges.append((outer[j], outer[j + 1], EDGE_ARC))
+    edges = [(0, first[0], EDGE_THETA0), (0, last[0], EDGE_THETA_MAX)]
+    for i in range(counts.size - 1):
+        edges.append((first[i], first[i + 1], EDGE_THETA0))
+        edges.append((last[i], last[i + 1], EDGE_THETA_MAX))
+    edges.extend((j, j + 1, EDGE_ARC) for j in range(first[-1], last[-1]))
 
-    return Mesh(np.array(verts), np.array(tris), tuple(edges), beta, gamma, h_star)
+    return Mesh(verts, tris, tuple(edges), beta, gamma, h_star)
 
 
 def _local_step(r: float, h_star: float, gamma: float) -> float:
@@ -254,33 +252,38 @@ def _ring_radii(h_star: float, gamma: float) -> list:
     return radii
 
 
-def _zip_rings(bot: list, top: list, tris: list) -> None:
-    """Triangulate the annulus strip between two vertex rings.
+def _ring_strips(bot: np.ndarray, ka: np.ndarray, top: np.ndarray,
+                 kb: np.ndarray) -> np.ndarray:
+    """Triangulate the annulus strips between pairs of vertex rings.
 
-    ``bot``/``top`` list vertex ids including both angular endpoints.  The
-    strip is zipped by advancing whichever ring has the smaller next angular
-    fraction; exact ties alternate sides so equal-count annuli get
-    alternating diagonals.  All triangles come out counter-clockwise.
+    Strip p joins the bottom ring with vertex ids ``bot[p] .. bot[p] + ka[p]``
+    to the top ring ``top[p] .. top[p] + kb[p]``; both include their angular
+    endpoints.  A strip is zipped by advancing whichever ring has the
+    smaller next angular fraction, ``(ia + 1) / ka`` or ``(ib + 1) / kb``.
+    Sorting both rings' steps by that fraction on the common denominator
+    ``ka * kb`` (exact integers) gives the same order.  At an exact tie the
+    top ring goes first when the bottom index ia is even, so equal-count
+    annuli get alternating diagonals.  Returns the (sum(ka + kb), 3)
+    counter-clockwise triangles, strip by strip.
     """
-    ka, kb = len(bot) - 1, len(top) - 1
-    ia = ib = 0
-    while ia < ka or ib < kb:
-        if ia == ka:
-            advance_top = True
-        elif ib == kb:
-            advance_top = False
-        else:
-            fa, fb = (ia + 1) / ka, (ib + 1) / kb
-            if abs(fa - fb) < 1e-12:
-                advance_top = ia % 2 == 0
-            else:
-                advance_top = fb < fa
-        if advance_top:
-            tris.append((bot[ia], top[ib], top[ib + 1]))
-            ib += 1
-        else:
-            tris.append((bot[ia], top[ib], bot[ia + 1]))
-            ia += 1
+    ka, kb = np.asarray(ka, dtype=np.int64), np.asarray(kb, dtype=np.int64)
+    steps = ka + kb
+    start = np.cumsum(steps) - steps  # each strip's first step
+    strip = np.repeat(np.arange(steps.size), steps)
+    k = np.arange(strip.size) - start[strip]
+    on_top = k >= ka[strip]  # steps 0..ka-1 advance the bottom ring, the rest the top
+    idx = np.where(on_top, k - ka[strip], k)  # the advancing ring's index before the step
+    fraction = (idx + 1) * np.where(on_top, ka[strip], kb[strip])  # times ka * kb
+    # at a tie the top step (rank 1) follows an odd ia (0) and precedes an even one (2)
+    tie_rank = np.where(on_top, 1, 2 - 2 * (idx % 2))
+    on_top = on_top[np.lexsort((tie_rank, fraction, strip))]  # steps stay in their strip
+    # the steps each ring has taken within its strip before this one
+    ib = np.cumsum(on_top) - on_top
+    ib -= ib[start][strip]
+    ia = k - ib
+    a = np.asarray(bot, dtype=np.int64)[strip] + ia
+    b = np.asarray(top, dtype=np.int64)[strip] + ib
+    return np.column_stack([a, b, np.where(on_top, b + 1, a + 1)])
 
 
 def _edge_vectors(mesh: Mesh) -> np.ndarray:

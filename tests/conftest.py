@@ -4,6 +4,8 @@ Mesh generation and assembly are deterministic, so expensive objects are
 built once per session and shared read-only across tests.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,14 @@ def assembled_cache(mesh_cache):
 
 def mass_norm(mass, v):
     return float(np.sqrt(v @ (mass @ v)))
+
+
+def traced_peak_mb(fn):
+    """Peak of the allocations tracemalloc traces while ``fn()`` runs, in MB."""
+    fn()  # warm up, so lazy imports and caches are not counted
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()

@@ -1,6 +1,7 @@
 """Contour construction, node solves and the folded quadrature sum."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +206,31 @@ def test_evolve_builds_each_quadrature_once(monkeypatch, source_system, m):
     monkeypatch.setattr(fem, "element_quad_points", counted)
     inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, m)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("system", ["mixed_system", "source_system"])
+def test_evolve_keeps_the_load_quadrature_only_for_a_source(monkeypatch, request, system):
+    spec, msh, dm, M, S = request.getfixturevalue(system)
+    expect = inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
+    made, alive_at_solve = [], []
+
+    class Recorded(fem.LoadQuadrature):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    def solve(*args, **kwargs):
+        alive_at_solve.append(sum(ref() is not None for ref in made))
+        return original(*args, **kwargs)
+
+    original = fem.solve_complex_symmetric
+    monkeypatch.setattr(fem, "LoadQuadrature", Recorded)
+    monkeypatch.setattr(fem, "solve_complex_symmetric", solve)
+    got = inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
+    assert np.array_equal(got, expect)
+    assert len(made) == 1
+    # the source loader needs the quadrature at every node; nothing else does
+    assert alive_at_solve == [0 if spec.fhat is None else 1] * 9
 
 
 @pytest.mark.parametrize("system", ["mixed_system", "source_system"])

@@ -13,6 +13,7 @@ import sectorfem as sf
 from sectorfem import fem
 from sectorfem.contour import make_contour
 from sectorfem.mesh import EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh, triangle_areas
+from conftest import traced_peak_mb
 
 BETA = 2.0 / 3.0
 
@@ -44,6 +45,28 @@ def test_stiffness_rejects_nonpositive_K(mesh_cache):
     msh = mesh_cache(2 ** -3, 1.0)
     with pytest.raises(ValueError):
         fem.assemble_stiffness(msh, fem.unconstrained_dofmap(msh), 0.0)
+    # nan compares False with everything, so `K <= 0` alone let it through
+    for K in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"diffusivity K must be positive and finite, "
+                                             f"got {K}"):
+            fem.assemble_stiffness(msh, fem.unconstrained_dofmap(msh), K)
+
+
+def test_operators_carry_int32_indices_on_one_pattern(assembled_cache):
+    msh, dm, M, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
+    node = (2.0 + 3.0j) ** 0.5 * M + S
+    for A in (M, S, node):
+        assert A.indices.dtype == A.indptr.dtype == np.int32
+    assert np.array_equal(M.indptr, S.indptr) and np.array_equal(M.indices, S.indices)
+    assert np.array_equal(node.indptr, M.indptr) and np.array_equal(node.indices, M.indices)
+
+
+def test_stiffness_assembly_peak_memory(mesh_cache):
+    # 5.9 MB measured at h*=2^-5, gamma=3 (12,187 triangles) with int32
+    # indices; 8.3 MB with int64 ones
+    msh = mesh_cache(2 ** -5, 3.0)
+    dm = sf.build_dofmap(msh, fem.MIXED)
+    assert traced_peak_mb(lambda: fem.assemble_stiffness(msh, dm, 1.0)) <= 7.4
 
 
 def test_mass_row_sums_equal_area(mesh_cache):
@@ -159,6 +182,31 @@ def test_load_rejects_bad_degree(mesh_cache):
     with pytest.raises(ValueError):
         fem.assemble_load(msh, fem.unconstrained_dofmap(msh),
                           lambda x, y: x, quad_degree=8)
+    for degree in (1, math.nan, math.inf, 4.5):
+        with pytest.raises(ValueError, match="degree"):
+            fem.assemble_load(msh, fem.unconstrained_dofmap(msh),
+                              lambda x, y: x, quad_degree=degree)
+
+
+@pytest.mark.parametrize("degree", [1, 0, -2, 4.5, 7.25, math.nan, math.inf, -math.inf])
+def test_triangle_rule_rejects_bad_degree(mesh_cache, degree):
+    # int() used to fail first on nan and inf, in wording that names no degree
+    named = f"quadrature degree must be an integer >= 2, got {degree}"
+    with pytest.raises(ValueError, match=named):
+        fem.triangle_rule(degree)
+    msh = mesh_cache(2 ** -3, 1.0)
+    for error_norm, exact in ((sf.l2_error, lambda x, y: x),
+                              (sf.h1_seminorm_error, lambda x, y: (x, y))):
+        with pytest.raises(ValueError, match=named):
+            error_norm(msh, None, np.zeros(msh.n_vertices), exact, quad_degree=degree)
+
+
+def test_triangle_rule_accepts_integral_floats():
+    # a float degree above 6 used to reach scipy's root finders and fail there
+    for degree in (4.0, 8.0):
+        pts, w = fem.triangle_rule(degree)
+        ref_pts, ref_w = fem.triangle_rule(int(degree))
+        assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
 
 
 def assert_monomials_exact(x, y, w, area, exact, degree):

@@ -9,6 +9,7 @@ import pytest
 import sectorfem as sf
 from sectorfem import fem, harness
 from sectorfem.mesh import EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh
+from conftest import traced_peak_mb
 
 BETA = 2.0 / 3.0
 
@@ -97,6 +98,40 @@ def test_error_integrals_match_einsum_reference(mesh_cache):
     assert sf.l2_error(msh, dm, uh, ell.exact) == pytest.approx(math.sqrt(l2), rel=1e-12)
     assert sf.h1_seminorm_error(msh, dm, uh, ell.exact_grad) == pytest.approx(math.sqrt(h1),
                                                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("block", [8, 64])
+def test_integrate_does_not_depend_on_block_size(monkeypatch, mesh_cache, block):
+    # A power-of-two block is a multiple of the row unroll of BLAS
+    # matrix-vector kernels, so each element's quadrature sum is rounded as
+    # in one call over the whole group.  (An odd block such as 7 moves some
+    # of those sums by an ulp, and with them, now and then, the last digit
+    # of the integral.)
+    ell = sf.elliptic_singular()
+    msh = mesh_cache(2 ** -4, 3.0)
+    dm = sf.build_dofmap(msh, fem.DIRICHLET)
+    uh = ell.exact(*msh.vertices[dm.vertex_to_dof >= 0].T) * 1.01
+
+    def norms():
+        return (sf.l2_error(msh, dm, uh, ell.exact),
+                sf.l2_error(msh, dm, uh, ell.exact, quad_degree=10),
+                sf.h1_seminorm_error(msh, dm, uh, ell.exact_grad))
+
+    monkeypatch.setattr(fem, "_INTEGRATE_BLOCK", msh.n_triangles)
+    whole = norms()
+    monkeypatch.setattr(fem, "_INTEGRATE_BLOCK", block)
+    assert norms() == whole
+
+
+def test_l2_error_peak_memory(mesh_cache):
+    # 3.6 MB measured at h*=2^-5, gamma=3 (12,187 triangles) with blocked
+    # integration; 9.5 MB with (e, q) arrays for the whole mesh
+    spec = sf.example2(0.5)
+    msh = mesh_cache(2 ** -5, 3.0)
+    dm = sf.build_dofmap(msh, spec.bc_kind)
+    uh = np.ones(dm.n_dofs)
+    peak = traced_peak_mb(lambda: sf.l2_error(msh, dm, uh, lambda x, y: spec.exact(x, y, 1.0)))
+    assert peak <= 4.5
 
 
 def test_interpolation_rate_for_smooth_function(mesh_cache):

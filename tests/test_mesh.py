@@ -68,6 +68,106 @@ def test_generated_meshes_conform(beta, h_star, gamma):
     assert_conforming(sf.generate_sector_mesh(beta, h_star, gamma))
 
 
+def zip_rings_loop(bot, top, tris):
+    """Loop reference for ``mesh._ring_strips``: zip one pair of vertex rings.
+
+    ``bot``/``top`` list vertex ids including both angular endpoints; the
+    ring with the smaller next angular fraction advances, and exact ties
+    advance the top ring when the bottom index is even.
+    """
+    ka, kb = len(bot) - 1, len(top) - 1
+    ia = ib = 0
+    while ia < ka or ib < kb:
+        if ia == ka:
+            advance_top = True
+        elif ib == kb:
+            advance_top = False
+        else:
+            fa, fb = (ia + 1) / ka, (ib + 1) / kb
+            if abs(fa - fb) < 1e-12:
+                advance_top = ia % 2 == 0
+            else:
+                advance_top = fb < fa
+        if advance_top:
+            tris.append((bot[ia], top[ib], top[ib + 1]))
+            ib += 1
+        else:
+            tris.append((bot[ia], top[ib], bot[ia + 1]))
+            ia += 1
+
+
+def sector_mesh_loop(beta, h_star, gamma):
+    """Loop reference for ``generate_sector_mesh``: (vertices, triangles, boundary_edges)."""
+    theta_max = math.pi / beta
+    radii = mesh_module._ring_radii(h_star, gamma)
+    counts = [max(3, round(theta_max * r / mesh_module._local_step(r, h_star, gamma)))
+              for r in radii]
+    verts = [(0.0, 0.0)]
+    ring_ids = []
+    for r, k in zip(radii, counts):
+        ids = list(range(len(verts), len(verts) + k + 1))
+        ring_ids.append(ids)
+        ang = theta_max * np.arange(k + 1) / k
+        verts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
+    first = ring_ids[0]
+    tris = [(0, first[j], first[j + 1]) for j in range(len(first) - 1)]
+    for bot, top in zip(ring_ids[:-1], ring_ids[1:]):
+        zip_rings_loop(bot, top, tris)
+    edges = [(0, first[0], EDGE_THETA0), (0, first[-1], EDGE_THETA_MAX)]
+    for bot, top in zip(ring_ids[:-1], ring_ids[1:]):
+        edges.append((bot[0], top[0], EDGE_THETA0))
+        edges.append((bot[-1], top[-1], EDGE_THETA_MAX))
+    outer = ring_ids[-1]
+    edges.extend((outer[j], outer[j + 1], EDGE_ARC) for j in range(len(outer) - 1))
+    return np.array(verts), np.array(tris), tuple(edges)
+
+
+def test_ring_strips_match_loop_reference():
+    # every ring-size pair 1..60, zipped in one call; strip p's rings start
+    # at arbitrary vertex ids
+    ka, kb = (k.ravel() for k in np.meshgrid(np.arange(1, 61), np.arange(1, 61)))
+    bot = np.cumsum(ka + kb + 2) - (ka + kb + 2) + 7
+    top = bot + ka + 1
+    expect = []
+    for a, b, i, j in zip(ka, kb, bot, top):
+        zip_rings_loop(list(range(i, i + a + 1)), list(range(j, j + b + 1)), expect)
+    got = mesh_module._ring_strips(bot, ka, top, kb)
+    assert got.shape == (int((ka + kb).sum()), 3)
+    assert np.array_equal(got, np.array(expect))
+    alone = []
+    zip_rings_loop(list(range(1, 7)), list(range(7, 16)), alone)
+    assert np.array_equal(mesh_module._ring_strips([1], [5], [7], [8]), np.array(alone))
+
+
+def assert_matches_loop_reference(beta, h_star, gamma):
+    msh = sf.generate_sector_mesh(beta, h_star, gamma)
+    verts, tris, edges = sector_mesh_loop(beta, h_star, gamma)
+    assert msh.vertices.tobytes() == verts.tobytes()
+    assert np.array_equal(msh.triangles, tris)
+    assert msh.boundary_edges == edges
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_generate_matches_loop_reference(k, gamma):
+    assert_matches_loop_reference(BETA, 2.0 ** -k, gamma)
+
+
+@settings(max_examples=10, deadline=None)
+@given(beta=st.floats(0.55, 0.95), h_star=st.sampled_from([2 ** -2, 2 ** -3, 2 ** -4]),
+       gamma=st.floats(1.0, 3.0))
+def test_generated_meshes_match_loop_reference(beta, h_star, gamma):
+    assert_matches_loop_reference(beta, h_star, gamma)
+
+
+@settings(max_examples=10, deadline=None)
+@given(beta=st.floats(0.55, 0.95), h_star=st.sampled_from([2 ** -2, 2 ** -3, 2 ** -4]),
+       gamma=st.floats(1.0, 3.0))
+def test_generated_meshes_pass_the_grading_audit(beta, h_star, gamma):
+    report = sf.verify_grading(sf.generate_sector_mesh(beta, h_star, gamma))
+    assert report.passed, report.violations[:3]
+
+
 def test_mesh_rejects_edge_in_three_triangles(mesh_cache):
     msh = mesh_cache(2 ** -3, 1.0)
     nt = msh.n_triangles
