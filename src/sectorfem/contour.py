@@ -7,6 +7,10 @@ the negative real axis.  With the tuned constants below the quadrature
 error decays like ``10.1315**-M`` in the node half-count M.  Because the
 transformed data are real, ``uhat(conj z) = conj(uhat(z))`` and the sum
 over j = -M..M folds onto j = 0..M, costing M+1 solves instead of 2M+1.
+
+A separable source ``sum_k c_k(z) f_k`` is loaded once per evolve: each
+field f_k gives one load vector b_k, and each node's right-hand side is
+``z**(alpha-1) * (b0 + sum_k c_k(z) b_k)`` with b0 the load vector of u0.
 """
 
 from __future__ import annotations
@@ -84,36 +88,42 @@ def laplace_invert_scalar(fhat: Callable[[complex], complex], t: float, M: int =
 
 
 def _node_solve(z: complex, alpha: float, mass, stiffness, b0: np.ndarray,
-                fhat_load: Callable[[complex], np.ndarray] | None) -> np.ndarray:
-    """Solve ``(z**alpha M + S) uhat = z**(alpha-1) * (b0 + b(z))`` at one node."""
+                source_load: Callable[[complex], np.ndarray] | None) -> np.ndarray:
+    """Solve ``(z**alpha M + S) uhat = z**(alpha-1) * (b0 + b(z))`` at one node.
+
+    ``b0`` is the load vector of u0 and ``source_load(z)`` that of the
+    transformed source, or None for a homogeneous problem.  ``z**alpha``
+    uses the principal branch.
+    """
     z = complex(z)
-    rhs = b0 if fhat_load is None else b0 + fhat_load(z)
+    rhs = b0 if source_load is None else b0 + source_load(z)
     rhs = z ** (alpha - 1.0) * rhs
     return fem.solve_complex_symmetric(z ** alpha, mass, stiffness, rhs)
-
-
-def uhat_solve(z: complex, alpha: float, mass, stiffness, u0h: np.ndarray,
-               fhat_load: Callable[[complex], np.ndarray] | None = None) -> np.ndarray:
-    """Laplace-domain solve at one contour node.
-
-    Solves ``(z**alpha * M + S) uhat = z**(alpha-1) * (M u0h + b(z))`` where
-    ``b(z)`` is the load vector of the transformed source (omitted when the
-    source vanishes).  ``z**alpha`` uses the principal branch.
-    """
-    return _node_solve(z, alpha, mass, stiffness, mass @ np.asarray(u0h), fhat_load)
 
 
 def _load_vectors(problem, mesh, dofmap):
     """The u0 load vector and, for a problem with a source, the loader ``z -> b(z)``.
 
-    Only the loader keeps the load quadrature, so without a source it is
-    released once the u0 vector is built.
+    A separable source has each distinct field loaded here, once, and a
+    field that is u0 itself reuses its vector; the loader then only sums
+    ``c_k(z) b_k``.  A plain ``fhat`` callable is loaded at each node, so
+    its loader keeps the load quadrature; otherwise the quadrature is
+    released once the vectors are built.
     """
     quad = fem.LoadQuadrature(mesh, dofmap)
     b0 = quad.load(problem.u0)
-    if problem.fhat is None:
+    fhat = problem.fhat
+    if fhat is None:
         return b0, None
-    return b0, lambda z: quad.load(problem.fhat(z))
+    terms = getattr(fhat, "terms", None)  # a problems.SeparableSource
+    if terms is None:
+        return b0, lambda z: quad.load(fhat(z))
+    loaded = {id(problem.u0): b0}
+    for _, f in terms:
+        if id(f) not in loaded:
+            loaded[id(f)] = quad.load(f)
+    vectors = [(c, loaded[id(f)]) for c, f in terms]
+    return b0, lambda z: sum(c(z) * b for c, b in vectors)
 
 
 def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
@@ -126,16 +136,18 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
     where u0h is the L2 projection of u0; that product is the load vector
     of u0, so it is assembled directly and neither the projection nor a
     mass solve is done.  The mesh-only load quadrature is built once per
-    evolve and serves both that vector and, with a source, the transformed
-    field ``problem.fhat(z)``, which is evaluated and reduced at each node;
-    without a source it is freed before the first node is factored.
+    evolve.  It serves that vector and the source's: a
+    :class:`~sectorfem.problems.SeparableSource` has each of its fields
+    loaded once, before the first node is factored, and the quadrature is
+    then freed, as it is without a source; only a plain ``fhat`` callable
+    is loaded at every node.
     """
     params = make_contour(M, t)
-    b0, fhat_load = _load_vectors(problem, mesh, dofmap)
+    b0, source_load = _load_vectors(problem, mesh, dofmap)
     terms = np.empty((M + 1, dofmap.n_dofs), dtype=complex)
     for j, (z, dz) in enumerate(zip(params.nodes, params.dnodes)):
         try:
-            uhat = _node_solve(z, problem.alpha, mass, stiffness, b0, fhat_load)
+            uhat = _node_solve(z, problem.alpha, mass, stiffness, b0, source_load)
         except fem.SolverError as exc:
             raise fem.SolverError(f"contour node j={j} (z={z:.6g}): {exc}",
                                   exc.residual) from exc

@@ -324,8 +324,8 @@ class LoadQuadrature:
     each element group of :func:`element_quad_points`, the quadrature point
     coordinates, the rule, the element areas and the free dofs.  ``load(g)``
     then does only the work that depends on the field, so a caller that
-    assembles many loads on one mesh (one per contour node) builds the
-    quadrature once.
+    assembles several loads on one mesh (the contour evolve loads u0 and
+    each field of a separable source) builds the quadrature once.
     """
 
     def __init__(self, mesh: Mesh, dofmap: DofMap, quad_degree: int = 4):
@@ -438,12 +438,3 @@ def solve_complex_symmetric(zalpha: complex, mass: sp.sparray, stiffness: sp.spa
     return _lu_solve(zalpha * mass + stiffness, np.asarray(b, dtype=complex),
                      "complex symmetric solve")
 
-
-def smallest_eigenpairs(stiffness: sp.sparray, mass: sp.sparray, k: int = 1):
-    """A few smallest eigenpairs of S v = lambda M v via shift-invert Lanczos.
-
-    Returns (values ascending, vectors as columns, M-orthonormal).
-    """
-    vals, vecs = spla.eigsh(stiffness, k=k, M=sp.csc_matrix(mass), sigma=0.0, which="LM")
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]

@@ -5,6 +5,11 @@ bundling exact solution, initial data, Laplace-domain source and the
 diffusivity normalization that makes the smallest eigenvalue of -K*Laplace
 equal to 1.
 
+A Laplace-domain source may be a :class:`SeparableSource`, a sum of scalar
+coefficients of z times z-independent fields.  The contour evolve then
+loads each of those fields once per evolve instead of loading the whole
+source at every contour node.
+
 All fields are vectorized callables of numpy coordinate arrays and are pure,
 so ProblemSpec values can be evaluated concurrently.
 """
@@ -22,12 +27,34 @@ from .specialfn import bessel_j, first_bessel_zero, mittag_leffler_neg
 
 
 @dataclass(frozen=True)
+class SeparableSource:
+    """Transformed source ``fhat(z) = sum_k c_k(z) f_k(x, y)``.
+
+    ``terms`` holds the pairs ``(c_k, f_k)``: a scalar coefficient of the
+    Laplace variable and a field that does not depend on it.  Calling the
+    source with z gives the pointwise field, like any other ``fhat``.
+    """
+
+    terms: tuple
+
+    def __call__(self, z):
+        coeffs = [(c(complex(z)), f) for c, f in self.terms]
+
+        def field(x, y):
+            return sum(c * f(x, y) for c, f in coeffs)
+
+        return field
+
+
+@dataclass(frozen=True)
 class ProblemSpec:
     """Time-dependent diffusion problem with known exact solution.
 
     ``u0(x, y)`` is the initial data, ``fhat(z)`` maps a Laplace variable to
     the transformed source as a pointwise (complex) field, or is None for a
     homogeneous problem, and ``exact(x, y, t)`` evaluates the solution.
+    The parameters are checked on construction, ``dataclasses.replace``
+    included.
     """
 
     label: str
@@ -38,6 +65,18 @@ class ProblemSpec:
     u0: Callable
     fhat: Callable | None
     exact: Callable
+
+    def __post_init__(self):
+        if not 0 < self.alpha < 1:  # also rejects NaN
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not 0.5 < self.beta < 1:
+            raise ValueError(f"beta must lie in (1/2, 1), got {self.beta}")
+        if not 0 < self.K < math.inf:
+            raise ValueError(f"diffusivity K must be positive and finite, got {self.K}")
+        if self.bc_kind not in (DIRICHLET, MIXED):
+            raise ValueError(f"unknown bc_kind {self.bc_kind!r}")
+        if self.fhat is not None and not callable(self.fhat):
+            raise ValueError(f"fhat must be None or callable, got {self.fhat!r}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +147,9 @@ def example1(alpha: float, beta: float = 2.0 / 3.0) -> ProblemSpec:
 
     The solution is ``(1 + t**alpha/Gamma(1+alpha)) * r**beta (1-r)
     sin(beta theta)``; the matching source has the Laplace transform
-    ``fhat(z) = z**-alpha g + (z**-alpha + z**-2alpha) A g``.
+    ``fhat(z) = z**-alpha g + (z**-alpha + z**-2alpha) A g``, separable in
+    the two fields g and A g; g is also the initial data.
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     K = normalize_K(beta, DIRICHLET)
     g = _singular_part(beta)
     Ag = _singular_part_laplacian(beta, K)
@@ -122,18 +160,8 @@ def example1(alpha: float, beta: float = 2.0 / 3.0) -> ProblemSpec:
     def exact(x, y, t):
         return time_factor(t) * g(x, y)
 
-    def fhat(z):
-        z = complex(z)
-        za = z ** -alpha
-        cAg = (za + z ** (-2.0 * alpha)) * K * (2 * beta + 1)
-
-        def field(x, y):
-            # za*g + (za + z**-2alpha)*Ag with r**(beta-1) sin(beta theta) factored out
-            r, theta = _polar(x, y)
-            return (za * (r * (1.0 - r)) + cAg) * (r ** (beta - 1.0) * np.sin(beta * theta))
-
-        return field
-
+    fhat = SeparableSource(((lambda z: z ** -alpha, g),
+                            (lambda z: z ** -alpha + z ** (-2.0 * alpha), Ag)))
     return ProblemSpec("example1", alpha, beta, DIRICHLET, K, g, fhat, exact)
 
 
@@ -145,8 +173,6 @@ def example2(alpha: float, beta: float = 2.0 / 3.0) -> ProblemSpec:
     with w its Bessel zero, so the solution decays by the Mittag-Leffler
     factor ``E_alpha(-t**alpha)``.
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     K = normalize_K(beta, MIXED)
     w = first_bessel_zero(beta / 2)
 

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import sectorfem as sf
 from sectorfem import fem
@@ -47,6 +49,16 @@ def assembled_cache(mesh_cache):
 
 def mass_norm(mass, v):
     return float(np.sqrt(v @ (mass @ v)))
+
+
+def smallest_eigenpairs(stiffness, mass, k=1):
+    """A few smallest eigenpairs of S v = lambda M v via shift-invert Lanczos.
+
+    Returns (values ascending, vectors as columns, M-orthonormal).
+    """
+    vals, vecs = spla.eigsh(stiffness, k=k, M=sp.csc_matrix(mass), sigma=0.0, which="LM")
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def traced_peak_mb(fn):

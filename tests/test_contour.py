@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import sectorfem as sf
 from sectorfem import fem
-from sectorfem.contour import (DELTA, fold_terms, inverse_laplace_evolve,
-                               laplace_invert_scalar, make_contour, uhat_solve)
-from conftest import mass_norm
+from sectorfem.contour import (DELTA, _node_solve, fold_terms, inverse_laplace_evolve,
+                               laplace_invert_scalar, make_contour)
+from conftest import mass_norm, smallest_eigenpairs
 
 
 def test_contour_constants_m8_t1():
@@ -107,10 +107,10 @@ def mixed_system(assembled_cache):
 
 def test_uhat_eigenvector_identity(mixed_system):
     spec, msh, dm, M, S = mixed_system
-    lam, vecs = fem.smallest_eigenpairs(S, M, k=1)
+    lam, vecs = smallest_eigenpairs(S, M, k=1)
     phi = vecs[:, 0]
     z = make_contour(8, 1.0).nodes[3]
-    got = uhat_solve(z, spec.alpha, M, S, phi)
+    got = _node_solve(z, spec.alpha, M, S, M @ phi, None)
     expect = z ** (spec.alpha - 1.0) / (z ** spec.alpha + lam[0]) * phi
     assert np.max(np.abs(got - expect)) < 1e-8
 
@@ -118,7 +118,7 @@ def test_uhat_eigenvector_identity(mixed_system):
 def test_uhat_real_node_real_data(mixed_system):
     spec, msh, dm, M, S = mixed_system
     u0h = fem.l2_project(msh, dm, spec.u0)
-    got = uhat_solve(5.0, spec.alpha, M, S, u0h)
+    got = _node_solve(5.0, spec.alpha, M, S, M @ u0h, None)
     assert np.max(np.abs(got.imag)) < 1e-12
 
 
@@ -127,7 +127,7 @@ def test_uhat_residuals_on_all_nodes(mixed_system):
     u0h = fem.l2_project(msh, dm, spec.u0)
     params = make_contour(8, 1.0)
     for z in params.nodes:
-        uhat = uhat_solve(z, spec.alpha, M, S, u0h)
+        uhat = _node_solve(z, spec.alpha, M, S, M @ u0h, None)
         A = z ** spec.alpha * M + S
         rhs = z ** (spec.alpha - 1.0) * (M @ u0h.astype(complex))
         res = np.linalg.norm(A @ uhat - rhs) / np.linalg.norm(rhs)
@@ -136,13 +136,13 @@ def test_uhat_residuals_on_all_nodes(mixed_system):
 
 def test_evolve_eigenvector_decays_by_mittag_leffler(mixed_system):
     spec, msh, dm, M, S = mixed_system
-    lam, vecs = fem.smallest_eigenpairs(S, M, k=1)
+    lam, vecs = smallest_eigenpairs(S, M, k=1)
     phi = vecs[:, 0]
     t = 1.0
     params = make_contour(8, t)
     terms = np.empty((9, dm.n_dofs), dtype=complex)
     for j, (z, dz) in enumerate(zip(params.nodes, params.dnodes)):
-        terms[j] = np.exp(z * t) * uhat_solve(z, spec.alpha, M, S, phi) * dz
+        terms[j] = np.exp(z * t) * _node_solve(z, spec.alpha, M, S, M @ phi, None) * dz
     got = fold_terms(params, terms)
     expect = sf.mittag_leffler_neg(spec.alpha, lam[0] * t ** spec.alpha) * phi
     assert np.max(np.abs(got - expect)) < 1e-6
@@ -155,8 +155,22 @@ def test_evolve_matches_exact_solution(mixed_system):
     assert err < 1e-3
 
 
-def test_evolve_performs_exactly_m_plus_one_complex_solves(monkeypatch, mixed_system):
-    spec, msh, dm, M, S = mixed_system
+@pytest.fixture(scope="module")
+def source_system(assembled_cache):
+    spec = sf.example1(0.5)
+    msh, dm, M, S = assembled_cache(2 ** -3, 1.5, fem.DIRICHLET, spec.K)
+    return spec, msh, dm, M, S
+
+
+@pytest.fixture(scope="module")
+def plain_source_system(source_system):
+    # Example 1 with its separable source hidden behind a plain callable
+    spec, *rest = source_system
+    return (replace(spec, fhat=lambda z: spec.fhat(z)), *rest)
+
+
+def test_evolve_performs_exactly_m_plus_one_complex_solves(monkeypatch, mixed_system,
+                                                           source_system, plain_source_system):
     calls = []
     original = fem.solve_complex_symmetric
 
@@ -165,15 +179,10 @@ def test_evolve_performs_exactly_m_plus_one_complex_solves(monkeypatch, mixed_sy
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fem, "solve_complex_symmetric", counted)
-    inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
-    assert len(calls) == 9
-
-
-@pytest.fixture(scope="module")
-def source_system(assembled_cache):
-    spec = sf.example1(0.5)
-    msh, dm, M, S = assembled_cache(2 ** -3, 1.5, fem.DIRICHLET, spec.K)
-    return spec, msh, dm, M, S
+    for spec, msh, dm, M, S in (mixed_system, source_system, plain_source_system):
+        calls.clear()
+        inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
+        assert len(calls) == 9
 
 
 def test_evolve_reports_nonfinite_source_at_one_node(source_system):
@@ -192,6 +201,46 @@ def test_evolve_reports_nonfinite_source_at_one_node(source_system):
     assert len(calls) == 4
 
 
+def test_evolve_reports_nonfinite_separable_term_before_any_solve(monkeypatch, source_system):
+    spec, msh, dm, M, S = source_system
+    (c_g, g), (c_Ag, Ag) = spec.fhat.terms
+    spoiled = sf.SeparableSource(((c_g, g),
+                                  (c_Ag, lambda x, y: np.where(x > 0.5, np.nan, Ag(x, y)))))
+    calls = []
+    monkeypatch.setattr(fem, "solve_complex_symmetric", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"non-finite value at \(0\.[5-9]"):
+        inverse_laplace_evolve(replace(spec, fhat=spoiled), msh, dm, M, S, 1.0, 8)
+    assert calls == []
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_separable_source_evolve_matches_plain_callable(source_system, alpha):
+    # loading each field once and combining at the nodes agrees with loading
+    # the whole field at every node
+    _, msh, dm, M, S = source_system
+    spec = sf.example1(alpha)
+    plain = replace(spec, fhat=lambda z: spec.fhat(z))
+    for t in (0.01, 0.42, 100.0):
+        ref = inverse_laplace_evolve(plain, msh, dm, M, S, t, 8)
+        got = inverse_laplace_evolve(spec, msh, dm, M, S, t, 8)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_separable_source_loads_each_distinct_field_once(monkeypatch, source_system):
+    # Example 1's g term is its u0, so the evolve loads g and A g, once each
+    spec, msh, dm, M, S = source_system
+    loaded = []
+    original = fem.LoadQuadrature.load
+
+    def load(self, g):
+        loaded.append(g)
+        return original(self, g)
+
+    monkeypatch.setattr(fem.LoadQuadrature, "load", load)
+    inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
+    assert loaded == [spec.u0, spec.fhat.terms[1][1]]
+
+
 @pytest.mark.parametrize("m", [4, 8, 16])
 def test_evolve_builds_each_quadrature_once(monkeypatch, source_system, m):
     # one quadrature shared by the u0 load vector and the source, whatever M
@@ -208,8 +257,12 @@ def test_evolve_builds_each_quadrature_once(monkeypatch, source_system, m):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("system", ["mixed_system", "source_system"])
-def test_evolve_keeps_the_load_quadrature_only_for_a_source(monkeypatch, request, system):
+@pytest.mark.parametrize("system, alive", [
+    pytest.param("mixed_system", 0, id="mixed_system"),
+    pytest.param("source_system", 0, id="source_system"),
+    pytest.param("plain_source_system", 1, id="plain_source_system"),
+])
+def test_evolve_keeps_the_load_quadrature_only_for_a_source(monkeypatch, request, system, alive):
     spec, msh, dm, M, S = request.getfixturevalue(system)
     expect = inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
     made, alive_at_solve = [], []
@@ -229,8 +282,9 @@ def test_evolve_keeps_the_load_quadrature_only_for_a_source(monkeypatch, request
     got = inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
     assert np.array_equal(got, expect)
     assert len(made) == 1
-    # the source loader needs the quadrature at every node; nothing else does
-    assert alive_at_solve == [0 if spec.fhat is None else 1] * 9
+    # a plain fhat callable is loaded at every node and keeps the quadrature;
+    # a separable source is loaded before the first node, like u0
+    assert alive_at_solve == [alive] * 9
 
 
 @pytest.mark.parametrize("system", ["mixed_system", "source_system"])
@@ -260,12 +314,12 @@ def test_evolve_matches_projection_reference(request, system):
     spec, msh, dm, M, S = request.getfixturevalue(system)
     t = 0.7
     u0h = fem.l2_project(msh, dm, spec.u0)
-    fhat_load = None
+    source_load = None
     if spec.fhat is not None:
-        def fhat_load(z):
+        def source_load(z):
             return fem.assemble_load(msh, dm, spec.fhat(z))
     params = make_contour(8, t)
-    terms = np.array([np.exp(z * t) * uhat_solve(z, spec.alpha, M, S, u0h, fhat_load) * dz
+    terms = np.array([np.exp(z * t) * _node_solve(z, spec.alpha, M, S, M @ u0h, source_load) * dz
                       for z, dz in zip(params.nodes, params.dnodes)])
     ref = fold_terms(params, terms)
     got = inverse_laplace_evolve(spec, msh, dm, M, S, t, 8)

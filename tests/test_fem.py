@@ -13,7 +13,7 @@ import sectorfem as sf
 from sectorfem import fem
 from sectorfem.contour import make_contour
 from sectorfem.mesh import EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh, triangle_areas
-from conftest import traced_peak_mb
+from conftest import smallest_eigenpairs, traced_peak_mb
 
 BETA = 2.0 / 3.0
 
@@ -288,6 +288,32 @@ def test_load_quadrature_matches_einsum_reference(mesh_cache, bc_kind, quad_degr
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+@pytest.fixture(scope="module")
+def corner_quadrature(mesh_cache):
+    msh = mesh_cache(2 ** -3, 3.0)
+    return fem.LoadQuadrature(msh, sf.build_dofmap(msh, fem.DIRICHLET))
+
+
+coefficients = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+wavenumbers = st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c1=coefficients, c2=coefficients, a=wavenumbers, b=wavenumbers, c=wavenumbers)
+def test_load_is_linear_in_the_field(corner_quadrature, c1, c2, a, b, c):
+    # a separable source is loaded term by term, then combined at each node
+    def f1(x, y):
+        return np.cos(a * x + b * y)
+
+    def f2(x, y):
+        return np.exp(c * x) * y
+
+    b1, b2 = corner_quadrature.load(f1), corner_quadrature.load(f2)
+    got = corner_quadrature.load(lambda x, y: c1 * f1(x, y) + c2 * f2(x, y))
+    scale = abs(c1) * np.linalg.norm(b1) + abs(c2) * np.linalg.norm(b2)
+    assert np.linalg.norm(got - (c1 * b1 + c2 * b2)) <= 1e-14 * scale
+
+
 def test_project_basis_function_is_unit_vector(mesh_cache):
     # projecting a function already in the FE space returns its coefficients:
     # M x = M e_k  ->  x = e_k
@@ -513,7 +539,7 @@ def test_solver_error_carries_residual():
 
 def test_smallest_eigenvalue_matches_bessel_oracle(assembled_cache):
     msh, dm, M, S = assembled_cache(2 ** -5, 1.5, fem.DIRICHLET, 1.0)
-    lam, vecs = fem.smallest_eigenpairs(S, M, k=3)
+    lam, vecs = smallest_eigenpairs(S, M, k=3)
     ref = sf.first_bessel_zero(BETA) ** 2
     assert np.all(lam > 0)
     assert lam[0] == pytest.approx(ref, rel=5e-3)

@@ -8,6 +8,7 @@ import pytest
 
 import sectorfem as sf
 from sectorfem import fem, problems
+from conftest import smallest_eigenpairs
 
 BETA = 2.0 / 3.0
 
@@ -30,7 +31,7 @@ def test_normalize_K_values():
 def test_normalized_eigenvalue_is_one_on_graded_mesh(assembled_cache):
     spec = sf.example2(0.5)
     msh, dm, M, S = assembled_cache(2 ** -5, 3.0, fem.MIXED, spec.K)
-    lam, _ = fem.smallest_eigenpairs(S, M, k=1)
+    lam, _ = smallest_eigenpairs(S, M, k=1)
     assert lam[0] == pytest.approx(1.0, abs=5e-3)
 
 
@@ -48,6 +49,34 @@ def test_example1_rejects_bad_alpha():
             sf.example1(alpha)
         with pytest.raises(ValueError):
             sf.example2(alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
+def test_problem_spec_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        dataclasses.replace(sf.example1(0.5), alpha=alpha)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, math.nan])
+def test_problem_spec_rejects_beta_outside_half_to_one(beta):
+    with pytest.raises(ValueError, match=r"beta must lie in \(1/2, 1\)"):
+        dataclasses.replace(sf.example2(0.5), beta=beta)
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0, math.inf, math.nan])
+def test_problem_spec_rejects_nonpositive_or_nonfinite_K(K):
+    with pytest.raises(ValueError, match="K must be positive and finite"):
+        dataclasses.replace(sf.example1(0.5), K=K)
+
+
+def test_problem_spec_rejects_unknown_bc_kind():
+    with pytest.raises(ValueError, match="unknown bc_kind 'neumann'"):
+        dataclasses.replace(sf.example2(0.5), bc_kind="neumann")
+
+
+def test_problem_spec_rejects_non_callable_source():
+    with pytest.raises(ValueError, match="fhat must be None or callable"):
+        dataclasses.replace(sf.example2(0.5), fhat=1.0)
 
 
 def test_example1_exact_vanishes_on_boundary():
