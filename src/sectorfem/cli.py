@@ -117,7 +117,7 @@ def _run(args) -> int:
     harness.write_report_csv(report, args.out)
     for row in report.rows:
         rate = "-" if row.rate is None else f"{row.rate:.4f}"
-        status = "FAILED" if row.failed else f"error={row.error:.6e} rate={rate}"
+        status = f"FAILED: {row.reason}" if row.failed else f"error={row.error:.6e} rate={rate}"
         print(f"h*={row.h_star:.6g} N={row.n_dofs} {status}")
     print(f"fitted slope vs {report.fit_abscissa}: {report.fitted_slope:.4f} "
           f"({report.predictor})")

@@ -8,8 +8,9 @@ error decays like ``10.1315**-M`` in the node half-count M.  Because the
 transformed data are real, ``uhat(conj z) = conj(uhat(z))`` and the sum
 over j = -M..M folds onto j = 0..M, costing M+1 solves instead of 2M+1.
 
-A separable source ``sum_k c_k(z) f_k`` is loaded once per evolve: each
-field f_k gives one load vector b_k, and each node's right-hand side is
+Every load vector comes from ``fem.assemble_load``.  A separable source
+``sum_k c_k(z) f_k`` is loaded once per evolve: each distinct field f_k
+gives one load vector b_k, and each node's right-hand side is
 ``z**(alpha-1) * (b0 + sum_k c_k(z) b_k)`` with b0 the load vector of u0.
 """
 
@@ -106,22 +107,19 @@ def _load_vectors(problem, mesh, dofmap):
 
     A separable source has each distinct field loaded here, once, and a
     field that is u0 itself reuses its vector; the loader then only sums
-    ``c_k(z) b_k``.  A plain ``fhat`` callable is loaded at each node, so
-    its loader keeps the load quadrature; otherwise the quadrature is
-    released once the vectors are built.
+    ``c_k(z) b_k``.  A plain ``fhat`` callable is loaded at each node.
     """
-    quad = fem.LoadQuadrature(mesh, dofmap)
-    b0 = quad.load(problem.u0)
+    b0 = fem.assemble_load(mesh, dofmap, problem.u0)
     fhat = problem.fhat
     if fhat is None:
         return b0, None
     terms = getattr(fhat, "terms", None)  # a problems.SeparableSource
     if terms is None:
-        return b0, lambda z: quad.load(fhat(z))
+        return b0, lambda z: fem.assemble_load(mesh, dofmap, fhat(z))
     loaded = {id(problem.u0): b0}
     for _, f in terms:
         if id(f) not in loaded:
-            loaded[id(f)] = quad.load(f)
+            loaded[id(f)] = fem.assemble_load(mesh, dofmap, f)
     vectors = [(c, loaded[id(f)]) for c, f in terms]
     return b0, lambda z: sum(c(z) * b for c, b in vectors)
 
@@ -135,12 +133,9 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
     M+1 complex solves.  The initial data enter only through ``M u0h``,
     where u0h is the L2 projection of u0; that product is the load vector
     of u0, so it is assembled directly and neither the projection nor a
-    mass solve is done.  The mesh-only load quadrature is built once per
-    evolve.  It serves that vector and the source's: a
-    :class:`~sectorfem.problems.SeparableSource` has each of its fields
-    loaded once, before the first node is factored, and the quadrature is
-    then freed, as it is without a source; only a plain ``fhat`` callable
-    is loaded at every node.
+    mass solve is done.  A :class:`~sectorfem.problems.SeparableSource` has
+    each of its distinct fields loaded once, like u0, before the first node
+    is factored; only a plain ``fhat`` callable is loaded at every node.
     """
     params = make_contour(M, t)
     b0, source_load = _load_vectors(problem, mesh, dofmap)

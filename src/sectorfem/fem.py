@@ -26,17 +26,16 @@ elements with a vertex at the re-entrant corner get it on each of their
 four midpoint-refinement children, so integrands with an r**(beta-1)
 singularity there are sampled more densely.  The policy reads only the
 vertex coordinates, never the generation metadata of the mesh.
-:func:`integrate` is the one kernel that applies it to a scalar integral
-(the error norms in ``harness`` are built on it), and :func:`field_values`
-is the one place a field is evaluated at quadrature points and checked to
-be finite.
-
-Load assembly is split in two.  ``LoadQuadrature`` is the mesh-only part:
-the element groups, their quadrature points, element areas and free dofs.
-Its ``load(g)`` evaluates a field at the held points and reduces it to a
-load vector; ``assemble_load`` is the set-up followed by one apply.  Every
-quadrature-point and reduction kernel is a single 2-D matrix product, which
-BLAS runs far faster than the equivalent three-operand einsum.
+Both mesh integrals the scheme needs run on one blocked loop over that
+quadrature: :func:`assemble_load` builds load vectors on it, and
+:func:`integrate` scalar integrals (the error norms in ``harness``).  Each
+evaluates and reduces its field on blocks of at most ``_INTEGRATE_BLOCK``
+elements of a quadrature group, so no array of quadrature points spans a
+whole graded mesh.  :func:`field_values` is the one place a field is
+evaluated at quadrature points and its shape and finiteness checked.
+Every quadrature-point and reduction kernel is a single 2-D matrix
+product, which BLAS runs far faster than the equivalent three-operand
+einsum.
 
 Assembled matrices are immutable in practice (never modified after return)
 and each solve factors its own copy, so concurrent solves against shared
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -265,12 +264,23 @@ def element_quad_points(mesh: Mesh, degree: int):
     return [group for group in groups if group[0].size]
 
 
-def field_values(g: Callable, x: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
-    """``g(x, y)`` as an array; ValueError naming the first point where it is not finite.
+def field_values(g: Callable, x: np.ndarray, y: np.ndarray, what: str,
+                 pair: bool = False) -> np.ndarray:
+    """``g(x, y)`` as an array of one value per point, checked to be finite.
 
-    ``g`` may return one value per point or a tuple of them (a gradient).
+    With ``pair``, ``g`` returns two values per point (a gradient), and the
+    array has shape (2, *x.shape).  A constant (a pair of constants) is
+    broadcast over the points.  Values of any other shape raise ValueError
+    naming ``what`` and both shapes; non-finite values raise ValueError
+    naming the first point where one occurs.
     """
     vals = np.asarray(g(x, y))
+    constant = (2,) if pair else ()
+    if vals.shape == constant:
+        vals = np.broadcast_to(vals.reshape(constant + (1,) * x.ndim), constant + x.shape)
+    elif vals.shape != constant + x.shape:
+        raise ValueError(f"{what} returned values of shape {vals.shape} at points of "
+                         f"shape {x.shape}; expected {constant + x.shape} or {constant}")
     if not np.all(np.isfinite(vals)):
         k = np.flatnonzero(~np.isfinite(vals))[0] % x.size
         raise ValueError(f"{what} returned non-finite value at "
@@ -278,12 +288,23 @@ def field_values(g: Callable, x: np.ndarray, y: np.ndarray, what: str) -> np.nda
     return vals
 
 
-# Elements per block in :func:`integrate`.  A block's (e, q) point and
-# integrand arrays then stay a few hundred kB, instead of tens of MB for a
+# Elements per block of the quadrature loop.  A block's (e, q) point and
+# field arrays then stay a few hundred kB, instead of tens of MB for a
 # whole graded mesh at degree 6.  A power of two is a multiple of the row
-# unroll of BLAS matrix-vector kernels, so each element's sum is rounded
-# exactly as in one product over its whole group.
+# unroll of BLAS matrix kernels, so each element's sum is rounded exactly
+# as in one product over its whole group.
 _INTEGRATE_BLOCK = 4096
+
+
+def _blocks(mesh: Mesh, ids: np.ndarray, pts: np.ndarray):
+    """``(block, x, y)`` for consecutive runs of ``_INTEGRATE_BLOCK`` elements of ``ids``.
+
+    x, y (e, q) are the coordinates of the barycentric points ``pts`` on
+    the block's elements.
+    """
+    for start in range(0, ids.size, _INTEGRATE_BLOCK):
+        block = ids[start:start + _INTEGRATE_BLOCK]
+        yield (block, *quad_points(mesh, block, pts))
 
 
 def integrate(mesh: Mesh, integrand: Callable, degree: int) -> float:
@@ -292,81 +313,44 @@ def integrate(mesh: Mesh, integrand: Callable, degree: int) -> float:
     ``integrand(ids, pts, x, y)`` gets element ids, the group's barycentric
     points (q, 3) and point coordinates x, y (e, q), and returns its values
     (e, q) at those points.  It is called on blocks of at most
-    ``_INTEGRATE_BLOCK`` elements of a group, so no (e, q) array spans a
-    whole group; the group's per-element sums are then reduced with one
-    dot product.
+    ``_INTEGRATE_BLOCK`` elements of a group; the group's per-element sums
+    are then reduced with one dot product.
     """
     areas = triangle_areas(mesh)
     total = 0.0
     for ids, pts, w in element_quad_points(mesh, degree):
-        per_element = np.empty(ids.size)
-        for start in range(0, ids.size, _INTEGRATE_BLOCK):
-            block = ids[start:start + _INTEGRATE_BLOCK]
-            x, y = quad_points(mesh, block, pts)
-            per_element[start:start + block.size] = integrand(block, pts, x, y) @ w
-        total += float(areas[ids] @ per_element)
+        per_element = [integrand(block, pts, x, y) @ w
+                       for block, x, y in _blocks(mesh, ids, pts)]
+        total += float(areas[ids] @ np.concatenate(per_element))
     return total
 
 
-class _LoadGroup(NamedTuple):
-    x: np.ndarray       # (e, q) quadrature point coordinates
-    y: np.ndarray
-    wpts: np.ndarray    # (q, 3) rule weights times barycentric points
-    areas: np.ndarray   # (e, 1) element areas
-    keep: np.ndarray    # (3e,) mask of the element-vertex slots holding a free dof
-    rows: np.ndarray    # free dofs of the kept slots
-
-
-class LoadQuadrature:
-    """Load assembly split into a mesh-only set-up and a per-field apply step.
-
-    The set-up runs once per (mesh, dofmap, quad_degree).  It keeps, for
-    each element group of :func:`element_quad_points`, the quadrature point
-    coordinates, the rule, the element areas and the free dofs.  ``load(g)``
-    then does only the work that depends on the field, so a caller that
-    assembles several loads on one mesh (the contour evolve loads u0 and
-    each field of a separable source) builds the quadrature once.
-    """
-
-    def __init__(self, mesh: Mesh, dofmap: DofMap, quad_degree: int = 4):
-        if not 2 <= quad_degree <= 6:
-            raise ValueError(f"load quadrature degree must be in 2..6, got {quad_degree}")
-        self.n_dofs = dofmap.n_dofs
-        areas = triangle_areas(mesh)
-        dofs = dofmap.vertex_to_dof[mesh.triangles]
-        self.groups = []
-        for ids, pts, w in element_quad_points(mesh, quad_degree):
-            x, y = quad_points(mesh, ids, pts)
-            d = dofs[ids].ravel()
-            keep = d >= 0
-            self.groups.append(_LoadGroup(x, y, w[:, None] * pts, areas[ids, None],
-                                          keep, d[keep]))
-
-    def load(self, g: Callable) -> np.ndarray:
-        """Load vector b_i = integral of g * phi_i; see :func:`assemble_load`."""
-        out = None
-        for grp in self.groups:
-            vals = field_values(g, grp.x, grp.y, "load field")
-            if out is None:
-                out = np.zeros(self.n_dofs, dtype=np.promote_types(vals.dtype, float))
-            elif vals.dtype.kind == "c" and out.dtype.kind != "c":
-                out = out.astype(complex)
-            # b_e[i] = area * sum_q w_q g(x_q) lambda_i(x_q)
-            be = grp.areas * (vals @ grp.wpts)
-            np.add.at(out, grp.rows, be.ravel()[grp.keep])
-        return out
-
-
 def assemble_load(mesh: Mesh, dofmap: DofMap, g: Callable, quad_degree: int = 4) -> np.ndarray:
-    """Load vector b_i = integral of g * phi_i by symmetric triangle quadrature.
+    """Load vector b_i = integral of g * phi_i by the :func:`element_quad_points` quadrature.
 
     ``g(x, y)`` must accept numpy arrays; complex-valued fields give a
     complex load vector.  Non-finite evaluations raise ValueError with the
-    offending location.  Builds a :class:`LoadQuadrature` and applies it
-    once; callers assembling several fields on one mesh should keep the
-    quadrature and call its ``load`` instead.
+    offending location.  The field is evaluated and reduced on the blocks
+    :func:`integrate` uses, and each block's element vectors are added into
+    the result in element order.
     """
-    return LoadQuadrature(mesh, dofmap, quad_degree).load(g)
+    if not 2 <= quad_degree <= 6:
+        raise ValueError(f"load quadrature degree must be in 2..6, got {quad_degree}")
+    areas = triangle_areas(mesh)
+    dofs = dofmap.vertex_to_dof[mesh.triangles]
+    out = np.zeros(dofmap.n_dofs)
+    for ids, pts, w in element_quad_points(mesh, quad_degree):
+        wpts = w[:, None] * pts
+        for block, x, y in _blocks(mesh, ids, pts):
+            vals = field_values(g, x, y, "load field")
+            if vals.dtype.kind == "c" and out.dtype.kind != "c":
+                out = out.astype(complex)
+            # b_e[i] = area * sum_q w_q g(x_q) lambda_i(x_q)
+            be = areas[block, None] * (vals @ wpts)
+            d = dofs[block].ravel()
+            keep = d >= 0
+            np.add.at(out, d[keep], be.ravel()[keep])
+    return out
 
 
 def l2_project(mesh: Mesh, dofmap: DofMap, u0: Callable, quad_degree: int = 4) -> np.ndarray:

@@ -32,6 +32,7 @@ class ConvergenceRow:
     error: float
     rate: float | None = None
     failed: bool = False
+    reason: str = ""  # the SolverError message of a failed row
 
 
 @dataclass
@@ -80,7 +81,7 @@ def h1_seminorm_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray,
     guh = np.einsum("eb,ebd->ed", values[mesh.triangles], grads)
 
     def squared(ids, pts, x, y):
-        gx, gy = fem.field_values(exact_grad, x, y, "exact gradient")
+        gx, gy = fem.field_values(exact_grad, x, y, "exact gradient", pair=True)
         return (guh[ids, None, 0] - gx) ** 2 + (guh[ids, None, 1] - gy) ** 2
 
     return math.sqrt(fem.integrate(mesh, squared, quad_degree))
@@ -164,8 +165,8 @@ def run_convergence(spec, gamma: float, hstar_list: Sequence[float], t: float = 
 
     For each h_star a mesh is generated, the problem solved by
     :func:`solve_spec` and the L2 error recorded (at time t for a
-    time-dependent spec).  A failed solve marks its row and the study
-    continues.
+    time-dependent spec).  A failed solve marks its row, keeps the
+    SolverError message as the row's reason, and the study continues.
     """
     hs = [float(h) for h in hstar_list]
     if any(b >= a for a, b in zip(hs, hs[1:])):
@@ -181,8 +182,9 @@ def run_convergence(spec, gamma: float, hstar_list: Sequence[float], t: float = 
             uh, exact = solve_spec(spec, msh, dofmap, t, M)
             err = l2_error(msh, dofmap, uh, exact)
             rows.append(ConvergenceRow(h_star, dofmap.n_dofs, float(err)))
-        except SolverError:
-            rows.append(ConvergenceRow(h_star, dofmap.n_dofs, math.nan, failed=True))
+        except SolverError as exc:
+            rows.append(ConvergenceRow(h_star, dofmap.n_dofs, math.nan, failed=True,
+                                       reason=str(exc)))
 
     for prev, cur in zip(rows, rows[1:]):
         if not (prev.failed or cur.failed):

@@ -33,9 +33,18 @@ class SeparableSource:
     ``terms`` holds the pairs ``(c_k, f_k)``: a scalar coefficient of the
     Laplace variable and a field that does not depend on it.  Calling the
     source with z gives the pointwise field, like any other ``fhat``.
+    A term that is not a pair of callables raises ValueError naming its
+    index.
     """
 
     terms: tuple
+
+    def __post_init__(self):
+        for k, term in enumerate(self.terms):
+            if not (isinstance(term, (tuple, list)) and len(term) == 2
+                    and all(callable(part) for part in term)):
+                raise ValueError(f"SeparableSource term {k} must be a pair "
+                                 f"(c_k, f_k) of callables, got {term!r}")
 
     def __call__(self, z):
         coeffs = [(c(complex(z)), f) for c, f in self.terms]

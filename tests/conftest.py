@@ -70,3 +70,17 @@ def traced_peak_mb(fn):
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def failing_on_finest_mesh(monkeypatch, spec, gamma, hs):
+    """Make every complex solve on the finest mesh of ``hs`` raise SolverError."""
+    finest = fem.build_dofmap(sf.generate_sector_mesh(spec.beta, hs[-1], gamma),
+                              spec.bc_kind).n_dofs
+    original = fem.solve_complex_symmetric
+
+    def solve(zalpha, mass, stiffness, b):
+        if b.size == finest:
+            raise fem.SolverError("relative residual 3.000e-09 exceeds 1e-10", 3e-9)
+        return original(zalpha, mass, stiffness, b)
+
+    monkeypatch.setattr(fem, "solve_complex_symmetric", solve)

@@ -5,6 +5,7 @@ import pytest
 
 import sectorfem as sf
 from sectorfem.cli import main
+from conftest import failing_on_finest_mesh
 
 
 def test_mesh_command(tmp_path, capsys):
@@ -79,6 +80,21 @@ def test_parameter_errors_exit_with_usage_message(tmp_path, capsys, argv, messag
     err = capsys.readouterr().err
     assert "sectorfem" in err and "error:" in err and message in err
     assert not out.exists()
+
+
+def test_converge_command_prints_why_a_row_failed(monkeypatch, tmp_path, capsys):
+    failing_on_finest_mesh(monkeypatch, sf.example2(0.5), 1.0, [2 ** -2, 2 ** -3])
+    out = tmp_path / "report.csv"
+    assert main(["converge", "--example", "2", "--hstar-list", "2^-2,2^-3",
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1].startswith("h*=0.125 N=")
+    assert printed[1].split(" ", 2)[2].startswith(
+        "FAILED: contour node j=0 (z=") and printed[1].endswith("exceeds 1e-10")
+    # the CSV keeps its format: the failed row reads nan, without the reason
+    lines = out.read_text().splitlines()
+    assert lines[0] == "hstar,N,l2_error,rate"
+    assert lines[2].split(",")[2:] == ["nan", ""]
 
 
 def test_converge_command(tmp_path, capsys):

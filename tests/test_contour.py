@@ -1,7 +1,6 @@
 """Contour construction, node solves and the folded quadrature sum."""
 
 import math
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -230,21 +229,21 @@ def test_separable_source_loads_each_distinct_field_once(monkeypatch, source_sys
     # Example 1's g term is its u0, so the evolve loads g and A g, once each
     spec, msh, dm, M, S = source_system
     loaded = []
-    original = fem.LoadQuadrature.load
+    original = fem.assemble_load
 
-    def load(self, g):
+    def load(mesh, dofmap, g, *args, **kwargs):
         loaded.append(g)
-        return original(self, g)
+        return original(mesh, dofmap, g, *args, **kwargs)
 
-    monkeypatch.setattr(fem.LoadQuadrature, "load", load)
+    monkeypatch.setattr(fem, "assemble_load", load)
     inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
     assert loaded == [spec.u0, spec.fhat.terms[1][1]]
 
 
 @pytest.mark.parametrize("m", [4, 8, 16])
-def test_evolve_builds_each_quadrature_once(monkeypatch, source_system, m):
-    # one quadrature shared by the u0 load vector and the source, whatever M
-    spec, msh, dm, M, S = source_system
+def test_evolve_builds_each_quadrature_once(monkeypatch, mixed_system, source_system, m):
+    # one quadrature per distinct field, whatever M: Example 2 loads u0,
+    # Example 1 loads u0 and A g
     calls = []
     original = fem.element_quad_points
 
@@ -253,38 +252,38 @@ def test_evolve_builds_each_quadrature_once(monkeypatch, source_system, m):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fem, "element_quad_points", counted)
-    inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, m)
-    assert len(calls) == 1
+    for (spec, msh, dm, M, S), fields in ((mixed_system, 1), (source_system, 2)):
+        calls.clear()
+        inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, m)
+        assert len(calls) == fields
 
 
-@pytest.mark.parametrize("system, alive", [
-    pytest.param("mixed_system", 0, id="mixed_system"),
-    pytest.param("source_system", 0, id="source_system"),
-    pytest.param("plain_source_system", 1, id="plain_source_system"),
+@pytest.mark.parametrize("system, schedule", [
+    pytest.param("mixed_system", ["load"] + ["solve"] * 9, id="mixed_system"),
+    pytest.param("source_system", ["load"] * 2 + ["solve"] * 9, id="source_system"),
+    pytest.param("plain_source_system", ["load"] + ["load", "solve"] * 9,
+                 id="plain_source_system"),
 ])
-def test_evolve_keeps_the_load_quadrature_only_for_a_source(monkeypatch, request, system, alive):
+def test_evolve_loads_up_front_unless_fhat_is_plain(monkeypatch, request, system, schedule):
+    # u0 and each field of a separable source are loaded before the first
+    # node is factored; a plain fhat callable is loaded at every node
     spec, msh, dm, M, S = request.getfixturevalue(system)
     expect = inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
-    made, alive_at_solve = [], []
+    events = []
 
-    class Recorded(fem.LoadQuadrature):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(weakref.ref(self))
+    def recording(event, original):
+        def recorded(*args, **kwargs):
+            events.append(event)
+            return original(*args, **kwargs)
 
-    def solve(*args, **kwargs):
-        alive_at_solve.append(sum(ref() is not None for ref in made))
-        return original(*args, **kwargs)
+        return recorded
 
-    original = fem.solve_complex_symmetric
-    monkeypatch.setattr(fem, "LoadQuadrature", Recorded)
-    monkeypatch.setattr(fem, "solve_complex_symmetric", solve)
+    monkeypatch.setattr(fem, "assemble_load", recording("load", fem.assemble_load))
+    monkeypatch.setattr(fem, "solve_complex_symmetric",
+                        recording("solve", fem.solve_complex_symmetric))
     got = inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
     assert np.array_equal(got, expect)
-    assert len(made) == 1
-    # a plain fhat callable is loaded at every node and keeps the quadrature;
-    # a separable source is loaded before the first node, like u0
-    assert alive_at_solve == [alive] * 9
+    assert events == schedule
 
 
 @pytest.mark.parametrize("system", ["mixed_system", "source_system"])

@@ -177,6 +177,52 @@ def test_load_rejects_nonfinite_field(mesh_cache):
         fem.assemble_load(msh, dm, lambda x, y: x / (y - y))
 
 
+def test_constant_fields_broadcast_over_the_points(mesh_cache):
+    # a constant load field used to die inside numpy's matmul
+    msh = mesh_cache(2 ** -3, 3.0)
+    dm = sf.build_dofmap(msh, fem.MIXED)
+    ones = fem.assemble_load(msh, dm, lambda x, y: np.ones_like(x))
+    assert np.array_equal(fem.assemble_load(msh, dm, lambda x, y: 1.0), ones)
+    assert np.array_equal(fem.assemble_load(msh, dm, lambda x, y: 2.5j),
+                          fem.assemble_load(msh, dm, lambda x, y: np.full(x.shape, 2.5j)))
+    zero = np.zeros(msh.n_vertices)
+    area = triangle_areas(msh).sum()
+    assert sf.l2_error(msh, None, zero, lambda x, y: 2.0) == pytest.approx(
+        2.0 * math.sqrt(area), rel=1e-12)
+    assert sf.h1_seminorm_error(msh, None, zero, lambda x, y: (3.0, 4.0)) == pytest.approx(
+        5.0 * math.sqrt(area), rel=1e-12)
+
+
+@pytest.mark.parametrize("field, got", [
+    (lambda x, y: (x, y), r"\(2, (\d+), (\d+)\)"),
+    (lambda x, y: x[:, 0], r"\((\d+),\)"),
+    (lambda x, y: np.ones(3), r"\(3,\)"),
+], ids=["pair", "one_per_element", "wrong_constant"])
+def test_fields_of_the_wrong_shape_are_named(mesh_cache, field, got):
+    # these used to fail with an IndexError or a matmul error naming no field
+    msh = mesh_cache(2 ** -3, 3.0)
+    dm = sf.build_dofmap(msh, fem.DIRICHLET)
+    zero = np.zeros(dm.n_dofs)
+    points = r"at points of shape \(\d+, \d+\)"
+    with pytest.raises(ValueError, match=f"load field returned values of shape {got} {points}"):
+        fem.assemble_load(msh, dm, field)
+    with pytest.raises(ValueError, match=f"exact field returned values of shape {got} {points}"):
+        sf.l2_error(msh, dm, zero, field)
+
+
+@pytest.mark.parametrize("gradient, got", [
+    (lambda x, y: x, r"\((\d+), (\d+)\)"),
+    (lambda x, y: (x, y, x), r"\(3, (\d+), (\d+)\)"),
+    (lambda x, y: 1.0, r"\(\)"),
+], ids=["one_value", "triple", "scalar_constant"])
+def test_gradients_of_the_wrong_shape_are_named(mesh_cache, gradient, got):
+    msh = mesh_cache(2 ** -3, 3.0)
+    dm = sf.build_dofmap(msh, fem.DIRICHLET)
+    with pytest.raises(ValueError, match=f"exact gradient returned values of shape {got} "
+                                         r"at points of shape \(\d+, \d+\)"):
+        sf.h1_seminorm_error(msh, dm, np.zeros(dm.n_dofs), gradient)
+
+
 def test_load_rejects_bad_degree(mesh_cache):
     msh = mesh_cache(2 ** -3, 1.0)
     with pytest.raises(ValueError):
@@ -257,7 +303,7 @@ def test_element_quad_points_split_corner_elements_stay_exact(degree):
 
 
 def reference_load(msh, dm, g, quad_degree):
-    """Three-operand einsum form of load assembly, the reference for LoadQuadrature."""
+    """Three-operand einsum load assembly on whole groups, the reference for assemble_load."""
     coords = msh.vertices[msh.triangles]
     areas = triangle_areas(msh)
     dofs = dm.vertex_to_dof[msh.triangles]
@@ -277,21 +323,54 @@ def reference_load(msh, dm, g, quad_degree):
 def test_load_quadrature_matches_einsum_reference(mesh_cache, bc_kind, quad_degree):
     msh = mesh_cache(2 ** -3, 3.0)
     dm = sf.build_dofmap(msh, bc_kind)
-    quad = fem.LoadQuadrature(msh, dm, quad_degree)
-    assert len(quad.groups) == 2, "expected a near-corner group on a gamma=3 mesh"
+    assert len(fem.element_quad_points(msh, quad_degree)) == 2, \
+        "expected a near-corner group on a gamma=3 mesh"
     real_field = sf.elliptic_singular().f
     complex_field = sf.example1(0.5).fhat(make_contour(8, 1.0).nodes[3])
     for g, kind in ((real_field, "f"), (complex_field, "c")):
-        got = quad.load(g)
+        got = fem.assemble_load(msh, dm, g, quad_degree)
         ref = reference_load(msh, dm, g, quad_degree)
         assert got.dtype.kind == kind
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("bc_kind", [fem.DIRICHLET, fem.MIXED])
+def test_load_does_not_depend_on_block_size(monkeypatch, mesh_cache, bc_kind):
+    # As in fem.integrate, a power-of-two block rounds each element's sum as
+    # one product over its whole group would, so the load vector is the
+    # same double for double.  (Blocks of 1 or 7 move some last digits.)
+    msh = mesh_cache(2 ** -5, 3.0)
+    dm = sf.build_dofmap(msh, bc_kind)
+    assert max(ids.size for ids, _, _ in fem.element_quad_points(msh, 4)) > 4096
+    fields = (sf.example2(0.5).u0, sf.example1(0.5).fhat(make_contour(8, 1.0).nodes[3]))
+
+    def loads():
+        return [fem.assemble_load(msh, dm, g) for g in fields]
+
+    monkeypatch.setattr(fem, "_INTEGRATE_BLOCK", msh.n_triangles)
+    whole = loads()
+    assert [b.dtype.kind for b in whole] == ["f", "c"]
+    for block in (64, 4096):
+        monkeypatch.setattr(fem, "_INTEGRATE_BLOCK", block)
+        for got, ref in zip(loads(), whole):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_load_peak_memory(mesh_cache):
+    # 2.2 MB measured for Example 2's u0 at h*=2^-5, gamma=3 (12,187
+    # triangles) with blocked evaluation; 4.3 MB with (e, q) arrays for
+    # whole groups
+    spec = sf.example2(0.5)
+    msh = mesh_cache(2 ** -5, 3.0)
+    dm = sf.build_dofmap(msh, spec.bc_kind)
+    assert traced_peak_mb(lambda: fem.assemble_load(msh, dm, spec.u0)) <= 3.0
+
+
 @pytest.fixture(scope="module")
-def corner_quadrature(mesh_cache):
+def corner_load(mesh_cache):
     msh = mesh_cache(2 ** -3, 3.0)
-    return fem.LoadQuadrature(msh, sf.build_dofmap(msh, fem.DIRICHLET))
+    dm = sf.build_dofmap(msh, fem.DIRICHLET)
+    return lambda g: fem.assemble_load(msh, dm, g)
 
 
 coefficients = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -300,7 +379,7 @@ wavenumbers = st.floats(-4.0, 4.0)
 
 @settings(max_examples=60, deadline=None)
 @given(c1=coefficients, c2=coefficients, a=wavenumbers, b=wavenumbers, c=wavenumbers)
-def test_load_is_linear_in_the_field(corner_quadrature, c1, c2, a, b, c):
+def test_load_is_linear_in_the_field(corner_load, c1, c2, a, b, c):
     # a separable source is loaded term by term, then combined at each node
     def f1(x, y):
         return np.cos(a * x + b * y)
@@ -308,8 +387,8 @@ def test_load_is_linear_in_the_field(corner_quadrature, c1, c2, a, b, c):
     def f2(x, y):
         return np.exp(c * x) * y
 
-    b1, b2 = corner_quadrature.load(f1), corner_quadrature.load(f2)
-    got = corner_quadrature.load(lambda x, y: c1 * f1(x, y) + c2 * f2(x, y))
+    b1, b2 = corner_load(f1), corner_load(f2)
+    got = corner_load(lambda x, y: c1 * f1(x, y) + c2 * f2(x, y))
     scale = abs(c1) * np.linalg.norm(b1) + abs(c2) * np.linalg.norm(b2)
     assert np.linalg.norm(got - (c1 * b1 + c2 * b2)) <= 1e-14 * scale
 

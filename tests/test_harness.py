@@ -9,7 +9,7 @@ import pytest
 import sectorfem as sf
 from sectorfem import fem, harness
 from sectorfem.mesh import EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh
-from conftest import traced_peak_mb
+from conftest import failing_on_finest_mesh, traced_peak_mb
 
 BETA = 2.0 / 3.0
 
@@ -220,6 +220,17 @@ def test_run_convergence_elliptic_report(tmp_path):
     assert "predictor=" in lines[-1]
     # 10 significant digits on errors
     assert len(first[2].replace(".", "").replace("-", "").lstrip("0")) >= 9
+
+
+def test_failed_convergence_row_keeps_its_reason(monkeypatch):
+    spec, hs = sf.example2(0.5), [2 ** -2, 2 ** -3]
+    failing_on_finest_mesh(monkeypatch, spec, 1.0, hs)
+    report = sf.run_convergence(spec, 1.0, hs)
+    ok, failed = report.rows
+    assert not ok.failed and ok.reason == ""
+    assert failed.failed and math.isnan(failed.error)
+    assert re.fullmatch(r"contour node j=0 \(z=[-+0-9.e]+\+0j\): "
+                        r"relative residual 3\.000e-09 exceeds 1e-10", failed.reason)
 
 
 def test_run_convergence_validates_inputs():

@@ -79,6 +79,22 @@ def test_problem_spec_rejects_non_callable_source():
         dataclasses.replace(sf.example2(0.5), fhat=1.0)
 
 
+@pytest.mark.parametrize("term, shown", [
+    ((2.0, np.sin), "(2.0, "),
+    (np.sin, "<ufunc 'sin'>"),
+    ((np.sin,), "(<ufunc 'sin'>,)"),
+    ((np.sin, np.cos, np.tan), "(<ufunc 'sin'>, <ufunc 'cos'>, <ufunc 'tan'>)"),
+], ids=["number_coefficient", "bare_callable", "single", "triple"])
+def test_separable_source_rejects_a_term_that_is_not_a_pair_of_callables(term, shown):
+    # such a term used to build, and the evolve then died on it with a
+    # TypeError naming no term
+    g = sf.example1(0.5).u0
+    with pytest.raises(ValueError, match=r"SeparableSource term 1 must be a pair "
+                                         r"\(c_k, f_k\) of callables, got ") as exc:
+        sf.SeparableSource(((lambda z: 1.0 / z, g), term))
+    assert shown in str(exc.value)
+
+
 def test_example1_exact_vanishes_on_boundary():
     spec = sf.example1(0.5)
     theta_max = math.pi / BETA

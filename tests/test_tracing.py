@@ -59,6 +59,6 @@ def test_traced_smoke_pass_records_every_layer(perfbench_module, workload):
     assert metrics["fem.complex_solves"] == M_PLUS_ONE * metrics["contour.evolve_calls"]
     residuals = [s.residual for s in tracer.spans if s.name == "fem.complex_solve"]
     assert residuals and max(residuals) <= tracing.RESIDUAL_CONTRACT
-    for count in ("mesh.generate_calls", "fem.assemble_calls", "harness.error_calls",
-                  "problems.field_points"):
+    for count in ("mesh.generate_calls", "fem.assemble_calls", "fem.load_calls",
+                  "harness.error_calls", "problems.field_points"):
         assert metrics[count] > 0, count
