@@ -32,14 +32,10 @@ def _parse_hstar_list(text: str) -> list:
     return [_parse_hstar(token) for token in text.split(",")]
 
 
-def _get_problem(name: str, alpha: float, bc: str | None):
+def _get_problem(name: str, alpha: float):
     if name == "elliptic":
-        spec = problems.elliptic_singular()
-    else:
-        spec = (problems.example1 if name == "1" else problems.example2)(alpha)
-    if bc is not None and bc != spec.bc_kind:
-        raise ValueError(f"example {name} is defined for {spec.bc_kind} boundary conditions")
-    return spec
+        return problems.elliptic_singular()
+    return (problems.example1 if name == "1" else problems.example2)(alpha)
 
 
 def main(argv=None) -> int:
@@ -56,27 +52,21 @@ def main(argv=None) -> int:
     p_mlf.add_argument("--alpha", type=float, required=True)
     p_mlf.add_argument("--x", type=float, required=True)
 
-    p_solve = sub.add_parser("solve", help="solve one benchmark problem")
-    p_solve.add_argument("--example", choices=("1", "2", "elliptic"), required=True)
-    p_solve.add_argument("--alpha", type=float, default=0.5)
-    p_solve.add_argument("--bc", choices=(fem.DIRICHLET, fem.MIXED))
-    p_solve.add_argument("--hstar", type=_parse_hstar, required=True)
-    p_solve.add_argument("--gamma", type=float, default=1.0)
-    p_solve.add_argument("--t", type=float, default=1.0)
-    p_solve.add_argument("--M", type=int, default=8)
-    p_solve.add_argument("--out", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the options solve and converge share
+    shared.add_argument("--example", choices=("1", "2", "elliptic"), required=True)
+    shared.add_argument("--alpha", type=float, default=0.5)
+    shared.add_argument("--gamma", type=float, default=1.0)
+    shared.add_argument("--t", type=float, default=1.0)
+    shared.add_argument("--M", type=int, default=8)
+    shared.add_argument("--out", required=True)
 
-    p_conv = sub.add_parser("converge", help="run a convergence study")
-    p_conv.add_argument("--example", choices=("1", "2", "elliptic"), required=True)
-    p_conv.add_argument("--alpha", type=float, default=0.5)
-    p_conv.add_argument("--bc", choices=(fem.DIRICHLET, fem.MIXED))
-    p_conv.add_argument("--gamma", type=float, default=1.0)
-    p_conv.add_argument("--t", type=float, default=1.0)
-    p_conv.add_argument("--M", type=int, default=8)
+    p_solve = sub.add_parser("solve", parents=[shared], help="solve one benchmark problem")
+    p_solve.add_argument("--hstar", type=_parse_hstar, required=True)
+
+    p_conv = sub.add_parser("converge", parents=[shared], help="run a convergence study")
     p_conv.add_argument("--hstar-list", type=_parse_hstar_list, required=True,
                         help="comma separated, e.g. 2^-3,2^-4,2^-5")
     p_conv.add_argument("--fit", choices=("N", "h"), default="N")
-    p_conv.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
     try:
@@ -99,7 +89,7 @@ def _run(args) -> int:
         print(f"{mittag_leffler_neg(args.alpha, args.x):.12g}")
         return 0
 
-    spec = _get_problem(args.example, args.alpha, args.bc)
+    spec = _get_problem(args.example, args.alpha)
     if args.command == "solve":
         msh = generate_sector_mesh(spec.beta, args.hstar, args.gamma)
         dofmap = fem.build_dofmap(msh, spec.bc_kind)

@@ -269,18 +269,24 @@ def field_values(g: Callable, x: np.ndarray, y: np.ndarray, what: str,
     """``g(x, y)`` as an array of one value per point, checked to be finite.
 
     With ``pair``, ``g`` returns two values per point (a gradient), and the
-    array has shape (2, *x.shape).  A constant (a pair of constants) is
-    broadcast over the points.  Values of any other shape raise ValueError
-    naming ``what`` and both shapes; non-finite values raise ValueError
-    naming the first point where one occurs.
+    array has shape (2, *x.shape).  A constant, or a constant component of
+    a pair, is broadcast over the points.  Values of any other shape raise
+    ValueError naming ``what`` and both shapes; non-finite values raise
+    ValueError naming the first point where one occurs.
     """
-    vals = np.asarray(g(x, y))
     constant = (2,) if pair else ()
+    expected = f"at points of shape {x.shape}; expected {constant + x.shape} or {constant}"
+    vals = g(x, y)
+    if pair and isinstance(vals, (tuple, list)):  # a constant component, as in (1.0, y)
+        shapes = tuple(np.shape(c) for c in vals)
+        vals = [np.broadcast_to(c, shape or x.shape) for c, shape in zip(vals, shapes)]
+        if len({c.shape for c in vals}) > 1:
+            raise ValueError(f"{what} returned values of shape {shapes} {expected}")
+    vals = np.asarray(vals)
     if vals.shape == constant:
         vals = np.broadcast_to(vals.reshape(constant + (1,) * x.ndim), constant + x.shape)
     elif vals.shape != constant + x.shape:
-        raise ValueError(f"{what} returned values of shape {vals.shape} at points of "
-                         f"shape {x.shape}; expected {constant + x.shape} or {constant}")
+        raise ValueError(f"{what} returned values of shape {vals.shape} {expected}")
     if not np.all(np.isfinite(vals)):
         k = np.flatnonzero(~np.isfinite(vals))[0] % x.size
         raise ValueError(f"{what} returned non-finite value at "
@@ -294,6 +300,7 @@ def field_values(g: Callable, x: np.ndarray, y: np.ndarray, what: str,
 # unroll of BLAS matrix kernels, so each element's sum is rounded exactly
 # as in one product over its whole group.
 _INTEGRATE_BLOCK = 4096
+_LOAD_DEGREE = 4  # degree of the element_quad_points rule of every load vector
 
 
 def _blocks(mesh: Mesh, ids: np.ndarray, pts: np.ndarray):
@@ -325,21 +332,19 @@ def integrate(mesh: Mesh, integrand: Callable, degree: int) -> float:
     return total
 
 
-def assemble_load(mesh: Mesh, dofmap: DofMap, g: Callable, quad_degree: int = 4) -> np.ndarray:
+def assemble_load(mesh: Mesh, dofmap: DofMap, g: Callable) -> np.ndarray:
     """Load vector b_i = integral of g * phi_i by the :func:`element_quad_points` quadrature.
 
-    ``g(x, y)`` must accept numpy arrays; complex-valued fields give a
-    complex load vector.  Non-finite evaluations raise ValueError with the
-    offending location.  The field is evaluated and reduced on the blocks
-    :func:`integrate` uses, and each block's element vectors are added into
-    the result in element order.
+    The rule is of degree ``_LOAD_DEGREE``.  ``g(x, y)`` must accept numpy
+    arrays; complex-valued fields give a complex load vector.  Non-finite
+    evaluations raise ValueError with the offending location.  The field is
+    evaluated and reduced on the blocks :func:`integrate` uses, and each
+    block's element vectors are added into the result in element order.
     """
-    if not 2 <= quad_degree <= 6:
-        raise ValueError(f"load quadrature degree must be in 2..6, got {quad_degree}")
     areas = triangle_areas(mesh)
     dofs = dofmap.vertex_to_dof[mesh.triangles]
     out = np.zeros(dofmap.n_dofs)
-    for ids, pts, w in element_quad_points(mesh, quad_degree):
+    for ids, pts, w in element_quad_points(mesh, _LOAD_DEGREE):
         wpts = w[:, None] * pts
         for block, x, y in _blocks(mesh, ids, pts):
             vals = field_values(g, x, y, "load field")
@@ -353,14 +358,14 @@ def assemble_load(mesh: Mesh, dofmap: DofMap, g: Callable, quad_degree: int = 4)
     return out
 
 
-def l2_project(mesh: Mesh, dofmap: DofMap, u0: Callable, quad_degree: int = 4) -> np.ndarray:
+def l2_project(mesh: Mesh, dofmap: DofMap, u0: Callable) -> np.ndarray:
     """Coefficients of the L2-orthogonal projection of u0 onto the FE space.
 
     Solves M x = b on the shared SuperLU path; raises SolverError if the
     relative residual exceeds 1e-10.
     """
     mass = assemble_mass(mesh, dofmap)
-    b = np.asarray(assemble_load(mesh, dofmap, u0, quad_degree), dtype=float)
+    b = np.asarray(assemble_load(mesh, dofmap, u0), dtype=float)
     return _lu_solve(mass, b, "L2 projection")
 
 

@@ -3,8 +3,8 @@
 :func:`solve_spec` is the one solve path: it assembles and solves any
 problem spec on a given mesh and dof map, and both the convergence studies
 and the command line call it.  L2 and H1-seminorm errors are integrated
-by ``fem.integrate`` at degree 6, on the corner quadrature load assembly
-uses too.
+by ``fem.integrate`` at degree ``_ERROR_DEGREE`` (6), on the corner
+quadrature load assembly uses too.
 Convergence studies drive mesh generation and the solve over a sequence of
 mesh sizes, then report pairwise rates and least-squares slopes against
 both the dof count and the mesh parameter.
@@ -53,8 +53,10 @@ class ConvergenceReport:
     predictor: str = ""
 
 
-def l2_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray, exact: Callable,
-             quad_degree: int = 6) -> float:
+_ERROR_DEGREE = 6  # degree of the fem.element_quad_points rule of both error norms
+
+
+def l2_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray, exact: Callable) -> float:
     """L2 norm of (u_h - exact) over the mesh.
 
     ``uh`` holds free-dof coefficients (or per-vertex values when ``dofmap``
@@ -66,11 +68,11 @@ def l2_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray, exact: Callable,
     def squared(ids, pts, x, y):
         return (nodal[ids] @ pts.T - fem.field_values(exact, x, y, "exact field")) ** 2
 
-    return math.sqrt(fem.integrate(mesh, squared, quad_degree))
+    return math.sqrt(fem.integrate(mesh, squared, _ERROR_DEGREE))
 
 
 def h1_seminorm_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray,
-                      exact_grad: Callable, quad_degree: int = 6) -> float:
+                      exact_grad: Callable) -> float:
     """H1 seminorm of (u_h - exact): ||grad u_h - exact_grad||_L2.
 
     ``exact_grad(x, y)`` returns the pair (du/dx, du/dy), which must be
@@ -84,20 +86,27 @@ def h1_seminorm_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray,
         gx, gy = fem.field_values(exact_grad, x, y, "exact gradient", pair=True)
         return (guh[ids, None, 0] - gx) ** 2 + (guh[ids, None, 1] - gy) ** 2
 
-    return math.sqrt(fem.integrate(mesh, squared, quad_degree))
+    return math.sqrt(fem.integrate(mesh, squared, _ERROR_DEGREE))
 
 
-def _epsilon_cases(h: float, gamma: float, beta: float, exponent: float) -> float:
+def _corner_exponent(gamma: float, beta: float, bc_kind: str) -> float | None:
+    """The corner exponent (beta/2 for mixed conditions), None when gamma is at 1/exponent."""
+    exponent = beta if bc_kind == fem.DIRICHLET else beta / 2.0
+    threshold = 1.0 / exponent
+    return None if abs(gamma - threshold) <= 1e-12 * threshold else exponent
+
+
+def _epsilon_cases(h: float, gamma: float, beta: float, bc_kind: str) -> float:
     if not 0.5 < beta < 1:
         raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
     if not 0 < h < 1:
         raise ValueError(f"h must lie in (0, 1), got {h}")
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    threshold = 1.0 / exponent
-    if abs(gamma - threshold) <= 1e-12 * threshold:
+    exponent = _corner_exponent(gamma, beta, bc_kind)
+    if exponent is None:
         return h * math.sqrt(math.log1p(1.0 / h))
-    if gamma < threshold:
+    if gamma * exponent < 1.0:
         return h ** (gamma * exponent) / math.sqrt(1.0 / gamma - exponent)
     return h / math.sqrt(exponent - 1.0 / gamma)
 
@@ -109,12 +118,12 @@ def epsilon(h: float, gamma: float, beta: float) -> float:
     threshold, ``h*sqrt(log(1+1/h))`` at it, and ``h`` (up to a constant)
     above it.
     """
-    return _epsilon_cases(h, gamma, beta, beta)
+    return _epsilon_cases(h, gamma, beta, fem.DIRICHLET)
 
 
 def epsilon_mix(h: float, gamma: float, beta: float) -> float:
     """Refinement error predictor for mixed conditions (beta/2 singularity)."""
-    return _epsilon_cases(h, gamma, beta, beta / 2.0)
+    return _epsilon_cases(h, gamma, beta, fem.MIXED)
 
 
 def fit_rate(points: Sequence) -> float:
@@ -132,12 +141,10 @@ def fit_rate(points: Sequence) -> float:
 
 
 def _predictor_label(spec, gamma: float) -> str:
-    exponent = spec.beta if spec.bc_kind == fem.DIRICHLET else spec.beta / 2.0
-    threshold = 1.0 / exponent
-    if abs(gamma - threshold) <= 1e-12 * threshold:
+    exponent = _corner_exponent(gamma, spec.beta, spec.bc_kind)
+    if exponent is None:
         return "L2~(h*sqrt(log(1+1/h)))^2"
-    rate = 2.0 * min(gamma * exponent, 1.0)
-    return f"L2~h^{rate:.4g}"
+    return f"L2~h^{2.0 * min(gamma * exponent, 1.0):.4g}"
 
 
 def solve_spec(spec, mesh: Mesh, dofmap: DofMap, t: float = 1.0, M: int = 8):

@@ -424,15 +424,14 @@ def write_mesh(mesh: Mesh, path) -> None:
 _METADATA_KEYS = ["beta", "gamma", "h_star"]
 
 
-def read_mesh(path, beta: float | None = None, gamma: float | None = None,
-              h_star: float | None = None) -> Mesh:
+def read_mesh(path) -> Mesh:
     """Read a mesh written by :func:`write_mesh`.
 
-    ``beta``, ``gamma`` and ``h_star`` come from the keyword arguments when
-    given, else from the optional header suffix ``beta <b> gamma <g> h_star
-    <h>``.  Files without the suffix carry no generation metadata: ``beta``
-    is then inferred from the theta_max radial edge, ``h_star`` falls back
-    to the maximum element diameter and ``gamma`` to 1.
+    ``beta``, ``gamma`` and ``h_star`` come from the optional header suffix
+    ``beta <b> gamma <g> h_star <h>``.  Files without the suffix carry no
+    generation metadata: ``beta`` is then inferred from the theta_max radial
+    edge, ``h_star`` falls back to the maximum element diameter and
+    ``gamma`` to 1; ``dataclasses.replace`` sets them on the result.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -453,9 +452,7 @@ def read_mesh(path, beta: float | None = None, gamma: float | None = None,
 
     # Mesh checks the indices; until then, read vertices only through valid ones.
     nv = len(verts)
-    beta = meta.get("beta") if beta is None else beta
-    gamma = meta.get("gamma", 1.0) if gamma is None else gamma
-    h_star = meta.get("h_star") if h_star is None else h_star
+    beta, h_star = meta.get("beta"), meta.get("h_star")
     if beta is None:
         ids = {v for i, j, tag in edges if tag == EDGE_THETA_MAX for v in (i, j)}
         ids = [v for v in ids if 0 <= v < nv and np.hypot(*verts[v]) > 1e-12]
@@ -467,4 +464,4 @@ def read_mesh(path, beta: float | None = None, gamma: float | None = None,
     if h_star is None:  # the longest triangle side
         corners = verts.take(tris, axis=0, mode="clip")
         h_star = float(np.linalg.norm(corners - np.roll(corners, 1, axis=1), axis=2).max())
-    return Mesh(verts, tris, tuple(edges), beta, gamma, h_star)
+    return Mesh(verts, tris, tuple(edges), beta, meta.get("gamma", 1.0), h_star)

@@ -13,7 +13,8 @@ def test_mesh_command(tmp_path, capsys):
     assert main(["mesh", "--beta", "0.6667", "--hstar", "0.125",
                  "--gamma", "1.5", "--out", str(out)]) == 0
     assert "vertices" in capsys.readouterr().out
-    msh = sf.read_mesh(out, gamma=1.5, h_star=0.125)
+    msh = sf.read_mesh(out)
+    assert (msh.gamma, msh.h_star) == (1.5, 0.125)
     assert sf.verify_grading(msh).passed
 
 
@@ -53,10 +54,17 @@ def test_solve_command_elliptic(tmp_path):
     assert len(out.read_text().splitlines()) > 10
 
 
-def test_solve_command_rejects_wrong_bc():
-    with pytest.raises(SystemExit):
-        main(["solve", "--example", "2", "--bc", "dirichlet",
-              "--hstar", "2^-3", "--out", "x.csv"])
+def test_solve_command_rejects_wrong_bc(tmp_path, capsys):
+    # each example has one boundary condition, so there is no --bc option
+    out = tmp_path / "out.csv"
+    for command, mesh_option in (("solve", "--hstar"), ("converge", "--hstar-list")):
+        for bc in ("dirichlet", "mixed"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--example", "2", "--bc", bc, mesh_option, "2^-3",
+                      "--out", str(out)])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --bc {bc}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

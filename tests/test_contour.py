@@ -122,15 +122,18 @@ def test_uhat_real_node_real_data(mixed_system):
 
 
 def test_uhat_residuals_on_all_nodes(mixed_system):
+    # alpha near 0 and near 1, and times from 0.01 to 100, for Example 2,
+    # whose u0 does not depend on alpha
     spec, msh, dm, M, S = mixed_system
     u0h = fem.l2_project(msh, dm, spec.u0)
-    params = make_contour(8, 1.0)
-    for z in params.nodes:
-        uhat = _node_solve(z, spec.alpha, M, S, M @ u0h, None)
-        A = z ** spec.alpha * M + S
-        rhs = z ** (spec.alpha - 1.0) * (M @ u0h.astype(complex))
-        res = np.linalg.norm(A @ uhat - rhs) / np.linalg.norm(rhs)
-        assert res <= 1e-10
+    for alpha in (0.05, 0.5, 0.95):
+        for t in (0.01, 1.0, 100.0):
+            for z in make_contour(8, t).nodes:
+                uhat = _node_solve(z, alpha, M, S, M @ u0h, None)
+                A = z ** alpha * M + S
+                rhs = z ** (alpha - 1.0) * (M @ u0h.astype(complex))
+                res = np.linalg.norm(A @ uhat - rhs) / np.linalg.norm(rhs)
+                assert res <= 1e-10, (alpha, t, z)
 
 
 def test_evolve_eigenvector_decays_by_mittag_leffler(mixed_system):

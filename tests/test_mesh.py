@@ -370,7 +370,8 @@ def test_write_read_round_trip(tmp_path, mesh_cache):
     assert [int(v) for v in header[:6:2]] == [msh.n_vertices, msh.n_triangles,
                                               len(msh.boundary_edges)]
     assert header[6::2] == ["beta", "gamma", "h_star"]
-    back = sf.read_mesh(path, gamma=1.5, h_star=2 ** -3)
+    back = sf.read_mesh(path)
+    assert (back.gamma, back.h_star) == (1.5, 2 ** -3)
     assert np.allclose(back.vertices, msh.vertices)
     assert np.array_equal(back.triangles, msh.triangles)
     assert back.boundary_edges == msh.boundary_edges
@@ -393,19 +394,21 @@ def test_round_trip_keeps_metadata_and_the_solution(tmp_path, assembled_cache):
     assert np.array_equal(got, sf.inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8))
 
 
-def test_read_without_metadata_and_keyword_precedence(tmp_path, mesh_cache):
+def test_read_without_metadata_and_replace_sets_it(tmp_path, mesh_cache):
     msh = mesh_cache(2 ** -3, 3.0)
     path = tmp_path / "mesh.txt"
     sf.write_mesh(msh, path)
     lines = path.read_text().splitlines()
-    given = sf.read_mesh(path, gamma=1.5, h_star=0.2)
-    assert (given.beta, given.gamma, given.h_star) == (msh.beta, 1.5, 0.2)
     # a header without the suffix reads as before: gamma 1, h_star = max diameter
     lines[0] = " ".join(lines[0].split()[:6])
     path.write_text("\n".join(lines) + "\n")
     old = sf.read_mesh(path)
     assert old.beta == pytest.approx(BETA, rel=1e-12)
     assert (old.gamma, old.h_star) == (1.0, triangle_diameters(msh).max())
+    restored = replace(old, gamma=3.0, h_star=2 ** -3)
+    assert (restored.gamma, restored.h_star) == (msh.gamma, msh.h_star)
+    assert np.array_equal(restored.vertices, msh.vertices)
+    assert sf.verify_grading(restored).passed
     lines[0] += " beta 0.5 gamma 3"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="header suffix"):
