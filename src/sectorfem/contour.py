@@ -136,7 +136,9 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
     mass solve is done.  A :class:`~sectorfem.problems.SeparableSource` has
     each of its distinct fields loaded once, like u0, before the first node
     is factored; only a plain ``fhat`` callable is loaded at every node.
+    ``dofmap`` must be built for ``problem.bc_kind``, or ValueError is raised.
     """
+    fem._check_bc_kind(problem.bc_kind, dofmap)
     params = make_contour(M, t)
     b0, source_load = _load_vectors(problem, mesh, dofmap)
     terms = np.empty((M + 1, dofmap.n_dofs), dtype=complex)

@@ -20,12 +20,14 @@ only when it exceeds 1e-10, and the result must then meet 1e-10 or
 SolverError is raised.
 
 Quadrature near the corner follows one geometric policy,
-:func:`element_quad_points`: every element gets the same symmetric rule
-(tabulated at degree 4 or 6, a conical product rule above 6), and the
-elements with a vertex at the re-entrant corner get it on each of their
-four midpoint-refinement children, so integrands with an r**(beta-1)
-singularity there are sampled more densely.  The policy reads only the
-vertex coordinates, never the generation metadata of the mesh.
+:func:`element_quad_points`: every element gets the same tabulated
+symmetric rule, and the elements with a vertex at the re-entrant corner
+get it on each of their four midpoint-refinement children, so integrands
+with an r**(beta-1) singularity there are sampled more densely.  The
+policy reads only the vertex coordinates, never the generation metadata
+of the mesh.  This module owns the degrees of the two rules the scheme
+needs: ``_LOAD_DEGREE`` (4) for load vectors and ``_ERROR_DEGREE`` (6) for
+the error norms.
 Both mesh integrals the scheme needs run on one blocked loop over that
 quadrature: :func:`assemble_load` builds load vectors on it, and
 :func:`integrate` scalar integrals (the error norms in ``harness``).  Each
@@ -97,36 +99,6 @@ _TRI_RULES = {
 }
 
 
-def _conical_rule(n: int):
-    """Conical product rule on the triangle, exact to degree 2n-1.
-
-    Gauss-Legendre points in the collapsed coordinate and Gauss-Jacobi
-    (weight 1-x) points in the other absorb the Jacobian exactly, so no
-    tabulated constants are needed.  Weights are normalized to sum to 1.
-    """
-    from scipy.special import roots_jacobi, roots_legendre
-    xi, wxi = roots_legendre(n)
-    xi = 0.5 * (xi + 1.0)
-    eta, weta = roots_jacobi(n, 1.0, 0.0)
-    eta = 0.5 * (eta + 1.0)
-    x = np.outer(xi, 1.0 - eta).ravel()
-    y = np.tile(eta, n)
-    w = np.outer(wxi, weta).ravel()
-    pts = np.column_stack([1.0 - x - y, x, y])
-    return pts, w / w.sum()
-
-
-def triangle_rule(degree: int):
-    """A rule exact to at least ``degree``: tabulated up to 6, conical product above."""
-    if not (2 <= degree < math.inf and degree == math.floor(degree)):  # also rejects NaN
-        raise ValueError(f"quadrature degree must be an integer >= 2, got {degree}")
-    degree = int(degree)
-    for d in sorted(_TRI_RULES):
-        if d >= degree:
-            return _TRI_RULES[d]
-    return _conical_rule((degree + 2) // 2)
-
-
 class SolverError(RuntimeError):
     """Linear solve failed or did not meet the residual contract."""
 
@@ -178,6 +150,13 @@ def build_dofmap(mesh: Mesh, bc_kind: str = DIRICHLET) -> DofMap:
     return DofMap(vertex_to_dof, free.size, bc_kind)
 
 
+def _check_bc_kind(bc_kind: str, dofmap: DofMap) -> None:
+    """Raise ValueError unless ``dofmap`` was built for the boundary condition ``bc_kind``."""
+    if dofmap.bc_kind != bc_kind:
+        raise ValueError(f"dof map is built for bc_kind {dofmap.bc_kind!r}, "
+                         f"but the problem has bc_kind {bc_kind!r}")
+
+
 def unconstrained_dofmap(mesh: Mesh) -> DofMap:
     """Dof map with every vertex free (no boundary conditions applied)."""
     return DofMap(np.arange(mesh.n_vertices), mesh.n_vertices, "none")
@@ -199,12 +178,20 @@ def quad_points(mesh: Mesh, ids: np.ndarray, pts: np.ndarray):
     return mesh.vertices[tri, 0] @ pts.T, mesh.vertices[tri, 1] @ pts.T
 
 
+def _check_dofmap(mesh: Mesh, dofmap: DofMap) -> None:
+    """Raise ValueError unless ``dofmap`` numbers the vertices of ``mesh``."""
+    if dofmap.vertex_to_dof.size != mesh.n_vertices:
+        raise ValueError(f"dof map numbers {dofmap.vertex_to_dof.size} vertices, "
+                         f"but the mesh has {mesh.n_vertices}")
+
+
 def _scatter(mesh: Mesh, dofmap: DofMap, local: np.ndarray) -> sp.csr_array:
     """Accumulate per-element 3x3 blocks into the free-dof CSR matrix.
 
     The indices are int32, which halves the index arrays of the matrix and
     of every node matrix summed from it; SuperLU takes int32 indices too.
     """
+    _check_dofmap(mesh, dofmap)
     dofs = dofmap.vertex_to_dof[mesh.triangles].astype(np.int32)
     rows = np.repeat(dofs, 3, axis=1).ravel()
     cols = np.tile(dofs, (1, 3)).ravel()
@@ -248,14 +235,14 @@ _CHILDREN = np.array([
 def element_quad_points(mesh: Mesh, degree: int):
     """Quadrature groups (element ids, barycentric points (q, 3), weights (q,)).
 
-    Every element uses ``triangle_rule(degree)``; the elements with a vertex
-    at the origin, where the r**(beta-1) singularities sit, use that rule on
-    each of their four midpoint-refinement children, a quarter of the
-    weight each.  The children's points stay in the parent's barycentric
-    coordinates, so P1 functions evaluate unchanged.  Empty groups are
-    left out.
+    Every element uses the tabulated rule of ``degree`` (4 or 6); the
+    elements with a vertex at the origin, where the r**(beta-1)
+    singularities sit, use that rule on each of their four
+    midpoint-refinement children, a quarter of the weight each.  The
+    children's points stay in the parent's barycentric coordinates, so P1
+    functions evaluate unchanged.  Empty groups are left out.
     """
-    pts, w = triangle_rule(degree)
+    pts, w = _TRI_RULES[degree]
     r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
     corner = (r[mesh.triangles] < 1e-14).any(axis=1)
     groups = [(np.flatnonzero(~corner), pts, w),
@@ -301,6 +288,7 @@ def field_values(g: Callable, x: np.ndarray, y: np.ndarray, what: str,
 # as in one product over its whole group.
 _INTEGRATE_BLOCK = 4096
 _LOAD_DEGREE = 4  # degree of the element_quad_points rule of every load vector
+_ERROR_DEGREE = 6  # degree of the rule of every integrate call (the error norms)
 
 
 def _blocks(mesh: Mesh, ids: np.ndarray, pts: np.ndarray):
@@ -314,8 +302,8 @@ def _blocks(mesh: Mesh, ids: np.ndarray, pts: np.ndarray):
         yield (block, *quad_points(mesh, block, pts))
 
 
-def integrate(mesh: Mesh, integrand: Callable, degree: int) -> float:
-    """Integral over the mesh by the quadrature of :func:`element_quad_points`.
+def integrate(mesh: Mesh, integrand: Callable) -> float:
+    """Integral over the mesh by the :func:`element_quad_points` rule of ``_ERROR_DEGREE``.
 
     ``integrand(ids, pts, x, y)`` gets element ids, the group's barycentric
     points (q, 3) and point coordinates x, y (e, q), and returns its values
@@ -325,7 +313,7 @@ def integrate(mesh: Mesh, integrand: Callable, degree: int) -> float:
     """
     areas = triangle_areas(mesh)
     total = 0.0
-    for ids, pts, w in element_quad_points(mesh, degree):
+    for ids, pts, w in element_quad_points(mesh, _ERROR_DEGREE):
         per_element = [integrand(block, pts, x, y) @ w
                        for block, x, y in _blocks(mesh, ids, pts)]
         total += float(areas[ids] @ np.concatenate(per_element))
@@ -342,6 +330,7 @@ def assemble_load(mesh: Mesh, dofmap: DofMap, g: Callable) -> np.ndarray:
     block's element vectors are added into the result in element order.
     """
     areas = triangle_areas(mesh)
+    _check_dofmap(mesh, dofmap)
     dofs = dofmap.vertex_to_dof[mesh.triangles]
     out = np.zeros(dofmap.n_dofs)
     for ids, pts, w in element_quad_points(mesh, _LOAD_DEGREE):

@@ -3,7 +3,7 @@
 :func:`solve_spec` is the one solve path: it assembles and solves any
 problem spec on a given mesh and dof map, and both the convergence studies
 and the command line call it.  L2 and H1-seminorm errors are integrated
-by ``fem.integrate`` at degree ``_ERROR_DEGREE`` (6), on the corner
+by ``fem.integrate`` at degree ``fem._ERROR_DEGREE`` (6), on the corner
 quadrature load assembly uses too.
 Convergence studies drive mesh generation and the solve over a sequence of
 mesh sizes, then report pairwise rates and least-squares slopes against
@@ -53,7 +53,11 @@ class ConvergenceReport:
     predictor: str = ""
 
 
-_ERROR_DEGREE = 6  # degree of the fem.element_quad_points rule of both error norms
+def _element_values(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray) -> np.ndarray:
+    """(nt, 3) nodal values of u_h per element; with no ``dofmap``, ``uh`` is per vertex."""
+    dofmap = dofmap or fem.unconstrained_dofmap(mesh)
+    fem._check_dofmap(mesh, dofmap)
+    return dofmap.expand(uh)[mesh.triangles]
 
 
 def l2_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray, exact: Callable) -> float:
@@ -63,12 +67,12 @@ def l2_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray, exact: Callable)
     is None); ``exact(x, y)`` is evaluated at the quadrature points and must
     be finite there.
     """
-    nodal = (dofmap or fem.unconstrained_dofmap(mesh)).expand(uh)[mesh.triangles]
+    nodal = _element_values(mesh, dofmap, uh)
 
     def squared(ids, pts, x, y):
         return (nodal[ids] @ pts.T - fem.field_values(exact, x, y, "exact field")) ** 2
 
-    return math.sqrt(fem.integrate(mesh, squared, _ERROR_DEGREE))
+    return math.sqrt(fem.integrate(mesh, squared))
 
 
 def h1_seminorm_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray,
@@ -78,15 +82,14 @@ def h1_seminorm_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray,
     ``exact_grad(x, y)`` returns the pair (du/dx, du/dy), which must be
     finite at the quadrature points; the FE gradient is constant per element.
     """
-    values = (dofmap or fem.unconstrained_dofmap(mesh)).expand(uh)
     _, grads = fem.element_geometry(mesh)
-    guh = np.einsum("eb,ebd->ed", values[mesh.triangles], grads)
+    guh = np.einsum("eb,ebd->ed", _element_values(mesh, dofmap, uh), grads)
 
     def squared(ids, pts, x, y):
         gx, gy = fem.field_values(exact_grad, x, y, "exact gradient", pair=True)
         return (guh[ids, None, 0] - gx) ** 2 + (guh[ids, None, 1] - gy) ** 2
 
-    return math.sqrt(fem.integrate(mesh, squared, _ERROR_DEGREE))
+    return math.sqrt(fem.integrate(mesh, squared))
 
 
 def _corner_exponent(gamma: float, beta: float, bc_kind: str) -> float | None:
@@ -153,10 +156,12 @@ def solve_spec(spec, mesh: Mesh, dofmap: DofMap, t: float = 1.0, M: int = 8):
     An EllipticSpec gets one real SPD solve of the stiffness system; any
     other spec is integrated to time t by the contour quadrature with
     half-count M, at M+1 complex solves.  ``dofmap`` must be built for
-    ``spec.bc_kind``.  Returns the free-dof coefficients and the exact
-    solution as a field ``(x, y) -> u`` (at time t for a time-dependent
-    spec).  Raises SolverError when a solve misses the residual contract.
+    ``spec.bc_kind``, or ValueError is raised.  Returns the free-dof
+    coefficients and the exact solution as a field ``(x, y) -> u`` (at
+    time t for a time-dependent spec).  Raises SolverError when a solve
+    misses the residual contract.
     """
+    fem._check_bc_kind(spec.bc_kind, dofmap)
     stiffness = fem.assemble_stiffness(mesh, dofmap, spec.K)
     if isinstance(spec, EllipticSpec):
         uh = fem.solve_real_spd(stiffness, fem.assemble_load(mesh, dofmap, spec.f))

@@ -8,6 +8,10 @@ from the corner the element diameters then scale like
 ``h * r**(1 - 1/gamma)`` while the innermost band has diameters ``~h**gamma``;
 ``gamma = 1`` reproduces a quasiuniform mesh.
 
+:func:`write_mesh` and :func:`read_mesh` exchange meshes as plain text
+whose header carries the generation metadata (beta, gamma, h_star);
+``read_mesh`` rejects a header without it rather than guess it.
+
 Mesh values are immutable after construction (vertex/triangle arrays are
 marked read-only) and safe to share across threads.
 """
@@ -83,10 +87,6 @@ class Mesh:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    @property
-    def theta_max(self) -> float:
-        return math.pi / self.beta
 
 
 def _check_conformity(mesh: Mesh) -> None:
@@ -427,20 +427,18 @@ _METADATA_KEYS = ["beta", "gamma", "h_star"]
 def read_mesh(path) -> Mesh:
     """Read a mesh written by :func:`write_mesh`.
 
-    ``beta``, ``gamma`` and ``h_star`` come from the optional header suffix
-    ``beta <b> gamma <g> h_star <h>``.  Files without the suffix carry no
-    generation metadata: ``beta`` is then inferred from the theta_max radial
-    edge, ``h_star`` falls back to the maximum element diameter and
-    ``gamma`` to 1; ``dataclasses.replace`` sets them on the result.
+    ``beta``, ``gamma`` and ``h_star`` come from the header suffix
+    ``beta <b> gamma <g> h_star <h>`` that :func:`write_mesh` writes; a
+    header without it raises ValueError naming the expected header.
+    ``dataclasses.replace`` changes them on the result.
     """
     with open(path) as fh:
         header = fh.readline().split()
+        if len(header) != 12 or header[6::2] != _METADATA_KEYS:
+            raise ValueError(f"mesh header {' '.join(header)!r} is not '<V> vertices <T> "
+                             "triangles <B> boundary_edges beta <b> gamma <g> h_star <h>'")
         nv, nt, nb = int(header[0]), int(header[2]), int(header[4])
-        suffix = header[6:]
-        if suffix and (len(suffix) != 6 or suffix[::2] != _METADATA_KEYS):
-            raise ValueError(f"mesh header suffix {' '.join(suffix)!r} is not "
-                             "'beta <b> gamma <g> h_star <h>'")
-        meta = {key: float(value) for key, value in zip(suffix[::2], suffix[1::2])}
+        beta, gamma, h_star = (float(value) for value in header[7::2])
         verts = np.array([[float(v) for v in fh.readline().split()] for _ in range(nv)])
         tris = np.array([[int(v) for v in fh.readline().split()] for _ in range(nt)])
         edges = []
@@ -449,19 +447,4 @@ def read_mesh(path) -> Mesh:
             if tag not in _EDGE_TAGS:
                 raise ValueError(f"unknown boundary edge tag {tag!r}")
             edges.append((int(i), int(j), tag))
-
-    # Mesh checks the indices; until then, read vertices only through valid ones.
-    nv = len(verts)
-    beta, h_star = meta.get("beta"), meta.get("h_star")
-    if beta is None:
-        ids = {v for i, j, tag in edges if tag == EDGE_THETA_MAX for v in (i, j)}
-        ids = [v for v in ids if 0 <= v < nv and np.hypot(*verts[v]) > 1e-12]
-        if not ids:
-            raise ValueError("cannot infer beta: no theta_max edges present")
-        far = max(ids, key=lambda v: np.hypot(*verts[v]))
-        theta = math.atan2(verts[far][1], verts[far][0]) % (2 * math.pi)
-        beta = math.pi / theta
-    if h_star is None:  # the longest triangle side
-        corners = verts.take(tris, axis=0, mode="clip")
-        h_star = float(np.linalg.norm(corners - np.roll(corners, 1, axis=1), axis=2).max())
-    return Mesh(verts, tris, tuple(edges), beta, meta.get("gamma", 1.0), h_star)
+    return Mesh(verts, tris, tuple(edges), beta, gamma, h_star)

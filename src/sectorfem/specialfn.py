@@ -14,11 +14,11 @@ catastrophically, and for small alpha its terms overflow a double before x
 reaches 5.
 
 ``bessel_j`` sums the ascending series of J_nu (DLMF 10.2.2) in Horner
-form for arguments up to 6, which covers the initial data of the benchmark
-problems (argument w*r below the first zero, under 3.2); there it agrees
-with the AMOS routine ``scipy.special.jv`` to about 1e-14 absolute and is
-several times faster.  Larger arguments, where the series cancels badly,
-go to ``jv``.
+form.  It takes arguments up to 6, which covers the initial data of the
+benchmark problems (argument w*r below the first zero, under 3.2); there it
+agrees with the AMOS routine ``scipy.special.jv`` to about 1e-14 absolute
+and is several times faster.  Larger arguments, where the series cancels
+badly, are rejected: no caller needs them.
 
 ``first_bessel_zero`` brackets the first sign change of ``jv`` on a grid and
 polishes it with ``_brent``, a step-for-step port of ``scipy.optimize.brentq``
@@ -40,8 +40,8 @@ from scipy.special import jv
 from .contour import laplace_invert_scalar
 
 
-# Ascending series of J_nu: used for arguments up to _BESSEL_SERIES_MAX with
-# _BESSEL_SERIES_TERMS terms.  At x = 6 the first omitted term is below
+# Ascending series of J_nu: summed for arguments up to _BESSEL_SERIES_MAX
+# with _BESSEL_SERIES_TERMS terms.  At x = 6 the first omitted term is below
 # 1e-24; the term magnitudes sum to I_nu(6) <= I_0(6) ~ 67, which bounds the
 # cancellation error near 67 * eps = 1.5e-14.
 _BESSEL_SERIES_MAX = 6.0
@@ -74,49 +74,35 @@ def mittag_leffler_neg(alpha: float, x: float) -> float:
     return min(1.0, max(0.0, _ml_contour(alpha, x, _ML_CONTOUR_M)))
 
 
-def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) for a 1-d float array x with 0 <= x <= 6, by the ascending series.
-
-    ``J_nu(x) = (x/2)**nu * sum_k c_k y**k`` with ``y = -x**2/4`` and
-    ``c_k = 1/(k! Gamma(k + nu + 1))``, summed in Horner form.  The
-    accumulator and one scratch buffer are updated in place.
-    """
-    coef = [1.0 / math.gamma(nu + 1.0)]
-    for k in range(1, _BESSEL_SERIES_TERMS):
-        coef.append(coef[-1] / (k * (k + nu)))
-    y = np.multiply(x, x)
-    y *= -0.25
-    acc = np.full_like(x, coef[-1])
-    for c in reversed(coef[:-1]):
-        acc *= y
-        acc += c
-    np.multiply(x, 0.5, out=y)
-    np.power(y, nu, out=y)
-    acc *= y
-    return acc
-
-
 def bessel_j(nu: float, x):
-    """Bessel function J_nu for orders 0 <= nu <= 2 and arguments 0 <= x <= 20.
+    """Bessel function J_nu for orders 0 <= nu <= 2 and arguments 0 <= x <= 6.
 
-    Arguments up to 6 use the ascending series, accurate to about 1e-14
-    absolute; arguments in (6, 20] use ``scipy.special.jv``.  A scalar
-    argument gives a Python float, an array one an array of its shape.
+    Sums the ascending series ``J_nu(x) = (x/2)**nu * sum_k c_k y**k`` with
+    ``y = -x**2/4`` and ``c_k = 1/(k! Gamma(k + nu + 1))`` in Horner form,
+    accurate to about 1e-14 absolute; the accumulator and one scratch buffer
+    are updated in place.  Larger arguments, where the series cancels
+    badly, are rejected.  A scalar argument gives a Python float, an array
+    one an array of its shape.
     """
     if not 0 <= nu <= 2:
         raise ValueError(f"order must lie in [0, 2], got {nu}")
     x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0) & (x <= 20)):  # written so that NaN fails too
-        raise ValueError("argument must lie in [0, 20]")
+    if not np.all((x >= 0) & (x <= _BESSEL_SERIES_MAX)):  # written so that NaN fails too
+        raise ValueError(f"argument must lie in [0, {_BESSEL_SERIES_MAX:g}]")
     flat = x.reshape(-1)
-    if flat.size == 0 or flat.max() <= _BESSEL_SERIES_MAX:
-        out = _bessel_series(nu, flat)
-    else:
-        out = np.empty_like(flat)
-        small = flat <= _BESSEL_SERIES_MAX
-        out[small] = _bessel_series(nu, flat[small])
-        out[~small] = jv(nu, flat[~small])
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    coef = [1.0 / math.gamma(nu + 1.0)]
+    for k in range(1, _BESSEL_SERIES_TERMS):
+        coef.append(coef[-1] / (k * (k + nu)))
+    y = np.multiply(flat, flat)
+    y *= -0.25
+    acc = np.full_like(flat, coef[-1])
+    for c in reversed(coef[:-1]):
+        acc *= y
+        acc += c
+    np.multiply(flat, 0.5, out=y)
+    np.power(y, nu, out=y)
+    acc *= y
+    return float(acc[0]) if x.ndim == 0 else acc.reshape(x.shape)
 
 
 def _brent(f: Callable[[float], float], xa: float, xb: float, xtol: float,

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
 import sectorfem as sf
 from sectorfem import fem, harness
@@ -48,6 +49,24 @@ def test_l2_error_rejects_vertex_values_with_a_dofmap(mesh_cache):
     dm = sf.build_dofmap(msh, fem.DIRICHLET)
     with pytest.raises(ValueError, match=f"expected {dm.n_dofs} free-dof coefficients"):
         sf.l2_error(msh, dm, np.zeros(msh.n_vertices), lambda x, y: x)
+
+
+@pytest.mark.parametrize("spec, wrong", [
+    (sf.example2(0.5), fem.DIRICHLET),
+    (sf.example1(0.5), fem.MIXED),
+    (sf.elliptic_singular(), fem.MIXED),
+], ids=["example2", "example1", "elliptic"])
+def test_solve_rejects_a_dofmap_for_another_boundary_condition(mesh_cache, spec, wrong):
+    # example 2 on a Dirichlet dof map used to return 25 Dirichlet coefficients
+    msh = mesh_cache(2 ** -2, 1.0)
+    dm = sf.build_dofmap(msh, wrong)
+    named = f"built for bc_kind '{wrong}', but the problem has bc_kind '{spec.bc_kind}'"
+    with pytest.raises(ValueError, match=named):
+        sf.solve_spec(spec, msh, dm)
+    if not isinstance(spec, sf.EllipticSpec):
+        M, S = fem.assemble_mass(msh, dm), fem.assemble_stiffness(msh, dm, spec.K)
+        with pytest.raises(ValueError, match=named):
+            sf.inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
 
 
 def test_l2_error_reports_nonfinite_exact(mesh_cache):
@@ -114,9 +133,9 @@ def test_integrate_does_not_depend_on_block_size(monkeypatch, mesh_cache, block)
 
     def norms():
         with monkeypatch.context() as m:
-            m.setattr(harness, "_ERROR_DEGREE", 10)
-            high = sf.l2_error(msh, dm, uh, ell.exact)
-        return (sf.l2_error(msh, dm, uh, ell.exact), high,
+            m.setattr(fem, "_ERROR_DEGREE", 4)  # the other rule
+            low = sf.l2_error(msh, dm, uh, ell.exact)
+        return (sf.l2_error(msh, dm, uh, ell.exact), low,
                 sf.h1_seminorm_error(msh, dm, uh, ell.exact_grad))
 
     monkeypatch.setattr(fem, "_INTEGRATE_BLOCK", msh.n_triangles)
@@ -245,14 +264,31 @@ def test_run_convergence_validates_inputs():
         sf.run_convergence(ell, 1.0, [0.25, 0.125], fit_abscissa="x")
 
 
+def conical_rule(n):
+    """Conical product rule on the triangle, exact to degree 2n-1, weights summing to 1.
+
+    Gauss-Legendre points in the collapsed coordinate and Gauss-Jacobi
+    (weight 1-x) points in the other absorb the Jacobian exactly.
+    """
+    xi, wxi = roots_legendre(n)
+    xi = 0.5 * (xi + 1.0)
+    eta, weta = roots_jacobi(n, 1.0, 0.0)
+    eta = 0.5 * (eta + 1.0)
+    x = np.outer(xi, 1.0 - eta).ravel()
+    y = np.tile(eta, n)
+    w = np.outer(wxi, weta).ravel()
+    return np.column_stack([1.0 - x - y, x, y]), w / w.sum()
+
+
 def test_quadrature_sufficiency_on_convergence_row(monkeypatch, assembled_cache):
-    # measured error must be discretization-dominated: two extra quadrature
-    # degrees change it by well under 1%
+    # measured error must be discretization-dominated: a rule of two more
+    # degrees changes it by well under 1%
     spec = sf.example1(0.5)
     msh, dm, M, S = assembled_cache(2 ** -4, 1.5, fem.DIRICHLET, spec.K)
     U = sf.inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
     e6 = sf.l2_error(msh, dm, U, lambda x, y: spec.exact(x, y, 1.0))
-    monkeypatch.setattr(harness, "_ERROR_DEGREE", 8)
+    monkeypatch.setitem(fem._TRI_RULES, 8, conical_rule(5))
+    monkeypatch.setattr(fem, "_ERROR_DEGREE", 8)
     e8 = sf.l2_error(msh, dm, U, lambda x, y: spec.exact(x, y, 1.0))
     assert abs(e8 - e6) / e6 < 0.01
 

@@ -398,51 +398,38 @@ def test_read_without_metadata_and_replace_sets_it(tmp_path, mesh_cache):
     msh = mesh_cache(2 ** -3, 3.0)
     path = tmp_path / "mesh.txt"
     sf.write_mesh(msh, path)
-    lines = path.read_text().splitlines()
-    # a header without the suffix reads as before: gamma 1, h_star = max diameter
-    lines[0] = " ".join(lines[0].split()[:6])
-    path.write_text("\n".join(lines) + "\n")
-    old = sf.read_mesh(path)
-    assert old.beta == pytest.approx(BETA, rel=1e-12)
-    assert (old.gamma, old.h_star) == (1.0, triangle_diameters(msh).max())
-    restored = replace(old, gamma=3.0, h_star=2 ** -3)
-    assert (restored.gamma, restored.h_star) == (msh.gamma, msh.h_star)
+    back = sf.read_mesh(path)
+    restored = replace(back, gamma=1.0, h_star=0.25)
+    assert (restored.beta, restored.gamma, restored.h_star) == (msh.beta, 1.0, 0.25)
     assert np.array_equal(restored.vertices, msh.vertices)
-    assert sf.verify_grading(restored).passed
-    lines[0] += " beta 0.5 gamma 3"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="header suffix"):
-        sf.read_mesh(path)
+    # a header without the suffix, or with only part of it, is rejected
+    # with the header a file must carry, not read with guessed metadata
+    lines = path.read_text().splitlines()
+    expected = re.escape("'<V> vertices <T> triangles <B> boundary_edges "
+                         "beta <b> gamma <g> h_star <h>'")
+    for header in (" ".join(lines[0].split()[:6]), " ".join(lines[0].split()[:10])):
+        path.write_text("\n".join([header] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=f"mesh header .* is not {expected}"):
+            sf.read_mesh(path)
 
 
-def test_solution_does_not_depend_on_mesh_metadata(tmp_path, assembled_cache):
+def test_solution_does_not_depend_on_mesh_metadata(assembled_cache):
     # quadrature near the corner is decided from the vertices alone, so a
-    # file without the metadata suffix reproduces the generated mesh's numbers
+    # mesh carrying other gamma and h_star reproduces the generated mesh's numbers
     spec = sf.example1(0.5)
     msh, dm, M, S = assembled_cache(2 ** -4, 3.0, sf.DIRICHLET, spec.K)
-    path = tmp_path / "mesh.txt"
-    sf.write_mesh(msh, path)
-    lines = path.read_text().splitlines()
-    lines[0] = " ".join(lines[0].split()[:6])
-    path.write_text("\n".join(lines) + "\n")
-    bare = sf.read_mesh(path)
-    assert (bare.gamma, bare.h_star) != (msh.gamma, msh.h_star)
-    dm_bare = sf.build_dofmap(bare, sf.DIRICHLET)
-    got = sf.inverse_laplace_evolve(spec, bare, dm_bare, sf.assemble_mass(bare, dm_bare),
-                                    sf.assemble_stiffness(bare, dm_bare, spec.K), 1.0, 8)
+    other = replace(msh, gamma=1.0, h_star=triangle_diameters(msh).max())
+    assert (other.gamma, other.h_star) != (msh.gamma, msh.h_star)
+    dm_other = sf.build_dofmap(other, sf.DIRICHLET)
+    got = sf.inverse_laplace_evolve(spec, other, dm_other, sf.assemble_mass(other, dm_other),
+                                    sf.assemble_stiffness(other, dm_other, spec.K), 1.0, 8)
     ref = sf.inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
     assert np.array_equal(got, ref)
 
     def exact(x, y):
         return spec.exact(x, y, 1.0)
 
-    assert sf.l2_error(bare, dm_bare, got, exact) == sf.l2_error(msh, dm, ref, exact)
-
-
-def _strip_metadata(path):
-    lines = path.read_text().splitlines()
-    lines[0] = " ".join(lines[0].split()[:6])
-    path.write_text("\n".join(lines) + "\n")
+    assert sf.l2_error(other, dm_other, got, exact) == sf.l2_error(msh, dm, ref, exact)
 
 
 @pytest.mark.parametrize("index", ["-1", "n_vertices"])
@@ -450,32 +437,24 @@ def _strip_metadata(path):
 def test_read_rejects_out_of_range_index(tmp_path, mesh_cache, line, index):
     msh = mesh_cache(2 ** -2, 1.0)
     path = tmp_path / "mesh.txt"
-    # without the metadata suffix read_mesh infers beta and h_star from the
-    # vertices before Mesh checks the indices; that must not fail first
-    for metadata in (True, False):
-        sf.write_mesh(msh, path)
-        if not metadata:
-            _strip_metadata(path)
-        lines = path.read_text().splitlines()
-        if line == "triangle":
-            k = 1 + msh.n_vertices
-        else:  # a theta_max edge, which beta is inferred from
-            k = next(k for k, text in enumerate(lines) if text.endswith(EDGE_THETA_MAX))
-        fields = lines[k].split()
-        fields[1] = str(-1 if index == "-1" else msh.n_vertices)
-        lines[k] = " ".join(fields)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=rf"outside \[0, {msh.n_vertices}\)"):
-            sf.read_mesh(path)
+    sf.write_mesh(msh, path)
+    lines = path.read_text().splitlines()
+    if line == "triangle":
+        k = 1 + msh.n_vertices
+    else:
+        k = next(k for k, text in enumerate(lines) if text.endswith(EDGE_THETA_MAX))
+    fields = lines[k].split()
+    fields[1] = str(-1 if index == "-1" else msh.n_vertices)
+    lines[k] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"outside \[0, {msh.n_vertices}\)"):
+        sf.read_mesh(path)
 
 
-@pytest.mark.parametrize("metadata", [True, False])
-def test_read_builds_the_mesh_once(tmp_path, mesh_cache, monkeypatch, metadata):
+def test_read_builds_the_mesh_once(tmp_path, mesh_cache, monkeypatch):
     msh = mesh_cache(2 ** -3, 3.0)
     path = tmp_path / "mesh.txt"
     sf.write_mesh(msh, path)
-    if not metadata:
-        _strip_metadata(path)
     calls = []
     real = mesh_module._check_conformity
     monkeypatch.setattr(mesh_module, "_check_conformity",
@@ -483,10 +462,7 @@ def test_read_builds_the_mesh_once(tmp_path, mesh_cache, monkeypatch, metadata):
     got = sf.read_mesh(path)
     assert len(calls) == 1
     assert np.array_equal(got.vertices, msh.vertices)
-    if metadata:
-        assert (got.beta, got.gamma, got.h_star) == (msh.beta, msh.gamma, msh.h_star)
-    else:
-        assert got.h_star == triangle_diameters(msh).max()
+    assert (got.beta, got.gamma, got.h_star) == (msh.beta, msh.gamma, msh.h_star)
 
 
 def test_mesh_immutable(mesh_cache):

@@ -111,7 +111,7 @@ def test_bessel_values():
     assert sfn.bessel_j(0.0, 0.0) == 1.0
     assert sfn.bessel_j(0.5, 0.0) == 0.0
     assert sfn.bessel_j(2.0, 0.0) == 0.0
-    for x in (0.5, 1.0, 5.0, 19.5):
+    for x in (0.5, 1.0, 5.0, 6.0):
         ref = math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
         assert sfn.bessel_j(0.5, x) == pytest.approx(ref, abs=1e-12)
     np.testing.assert_allclose(sfn.bessel_j(1.0, np.array([0.0, 1.0])),
@@ -123,18 +123,18 @@ BESSEL_ORDERS = (0.0, 0.25, 1.0 / 3.0, 0.5, 1.0, 1.5, 2.0)
 
 @pytest.mark.parametrize("nu", BESSEL_ORDERS)
 def test_bessel_matches_amos_reference(nu):
-    # dense grid of [0, 20] with points on both sides of the series cut-off
-    xs = np.concatenate([np.linspace(0.0, 20.0, 20001),
-                         6.0 + np.array([-1e-12, 0.0, 1e-12]), [1e-300, 1e-8]])
+    # dense grid of the whole range [0, 6], its end and tiny arguments
+    xs = np.concatenate([np.linspace(0.0, 6.0, 20001),
+                         6.0 + np.array([-1e-12, 0.0]), [1e-300, 1e-8]])
     np.testing.assert_allclose(sfn.bessel_j(nu, xs), jv(nu, xs), rtol=0, atol=1e-13)
 
 
 def test_bessel_keeps_input_shape():
-    for x in (0.7, 12.0, np.float64(3.0), np.array(5.5), np.array(7.5)):
+    for x in (0.7, 6.0, np.float64(3.0), np.array(5.5), np.array(0.0)):
         got = sfn.bessel_j(1.0 / 3.0, x)
         assert type(got) is float
         assert got == pytest.approx(jv(1.0 / 3.0, float(x)), abs=1e-13)
-    xs = np.linspace(0.0, 10.0, 24).reshape(6, 4)
+    xs = np.linspace(0.0, 6.0, 24).reshape(6, 4)
     for sample in (xs, xs[:, :2].T, xs[:2, :] * 0.5):
         got = sfn.bessel_j(0.5, sample)
         assert isinstance(got, np.ndarray) and got.shape == sample.shape
@@ -147,8 +147,9 @@ def test_bessel_rejects_out_of_range():
         sfn.bessel_j(-0.1, 1.0)
     with pytest.raises(ValueError):
         sfn.bessel_j(2.5, 1.0)
-    with pytest.raises(ValueError):
-        sfn.bessel_j(1.0, 21.0)
+    for x in (6.0 + 1e-12, 20.0, np.array([1.0, 7.0])):  # the series cancels above 6
+        with pytest.raises(ValueError, match=r"argument must lie in \[0, 6\]"):
+            sfn.bessel_j(1.0, x)
     with pytest.raises(ValueError):
         sfn.bessel_j(1.0, -1.0)
     with pytest.raises(ValueError):
