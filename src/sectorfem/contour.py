@@ -136,9 +136,14 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
     mass solve is done.  A :class:`~sectorfem.problems.SeparableSource` has
     each of its distinct fields loaded once, like u0, before the first node
     is factored; only a plain ``fhat`` callable is loaded at every node.
-    ``dofmap`` must be built for ``problem.bc_kind``, or ValueError is raised.
+    ``dofmap`` must be built for ``problem.bc_kind``, and ``mass`` and
+    ``stiffness`` must both be ``(n_dofs, n_dofs)``, or ValueError is raised
+    before anything is loaded or factored.
     """
     fem._check_bc_kind(problem.bc_kind, dofmap)
+    if not mass.shape == stiffness.shape == (dofmap.n_dofs,) * 2:
+        raise ValueError(f"mass {mass.shape} and stiffness {stiffness.shape} must both be "
+                         f"{(dofmap.n_dofs,) * 2}, the size of the dof map")
     params = make_contour(M, t)
     b0, source_load = _load_vectors(problem, mesh, dofmap)
     terms = np.empty((M + 1, dofmap.n_dofs), dtype=complex)

@@ -213,7 +213,7 @@ def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_array:
     return _scatter(mesh, dofmap, local)
 
 
-def assemble_stiffness(mesh: Mesh, dofmap: DofMap, K: float = 1.0) -> sp.csr_array:
+def assemble_stiffness(mesh: Mesh, dofmap: DofMap, K: float) -> sp.csr_array:
     """Stiffness matrix S_ij = K * integral of grad phi_i . grad phi_j."""
     if not 0 < K < math.inf:  # also rejects NaN
         raise ValueError(f"diffusivity K must be positive and finite, got {K}")

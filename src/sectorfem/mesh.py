@@ -6,13 +6,16 @@ with ``1/2 < beta < 1``, so the corner at the origin has interior angle
 radii follow the local refinement rule ``dr ~ h * r**(1 - 1/gamma)``.  Away
 from the corner the element diameters then scale like
 ``h * r**(1 - 1/gamma)`` while the innermost band has diameters ``~h**gamma``;
-``gamma = 1`` reproduces a quasiuniform mesh.
+``gamma = 1`` reproduces a quasiuniform mesh; :func:`verify_grading` audits
+the rule with the fixed bounds 0.1 and 10 on the diameter ratio.
 
 :func:`write_mesh` and :func:`read_mesh` exchange meshes as plain text
 whose header carries the generation metadata (beta, gamma, h_star);
-``read_mesh`` rejects a header without it rather than guess it.
+``read_mesh`` rejects a header without it rather than guess it, and a file
+whose line count is not the one its header promises.
 
-Mesh values are immutable after construction (vertex/triangle arrays are
+Mesh values are checked on construction (indices, boundary tags,
+orientation, conformity), then immutable (vertex/triangle arrays are
 marked read-only) and safe to share across threads.
 """
 
@@ -29,6 +32,7 @@ EDGE_THETA_MAX = "theta_max"  # radial edge along theta = pi/beta
 EDGE_ARC = "arc"              # chords approximating the unit-circle arc
 
 _EDGE_TAGS = (EDGE_THETA0, EDGE_THETA_MAX, EDGE_ARC)
+_GRADING_C_LO, _GRADING_C_HI = 0.1, 10.0  # verify_grading's bounds on h_tri / target
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,9 @@ class Mesh:
             if not (0 <= i < nv and 0 <= j < nv):
                 raise ValueError(f"boundary edge ({i}, {j}, {tag}) has a vertex index "
                                  f"outside [0, {nv})")
+            if tag not in _EDGE_TAGS:
+                raise ValueError(f"boundary edge ({i}, {j}) has unknown tag {tag!r}, "
+                                 f"not one of {_EDGE_TAGS}")
         flipped = np.flatnonzero(triangle_areas(self) <= 0)
         if flipped.size:
             k = int(flipped[0])
@@ -315,33 +322,19 @@ def triangle_diameters(mesh: Mesh) -> np.ndarray:
 
 
 def triangle_origin_distances(mesh: Mesh) -> np.ndarray:
-    """Distance from the origin to each (closed) triangle."""
-    p = mesh.vertices[mesh.triangles]
-    inside = _origin_inside(p)
-    d = np.full(mesh.n_triangles, np.inf)
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        d = np.minimum(d, _origin_segment_distance(p[:, a], p[:, b]))
+    """Distance from the origin, which need not be a vertex, to each (closed) triangle.
+
+    Zero where the origin lies on the inner side of all three edges; edge i
+    of :func:`_edge_vectors` starts at vertex i+1.
+    """
+    e = _edge_vectors(mesh).reshape(-1, 2)
+    a = np.roll(mesh.vertices[mesh.triangles], -1, axis=1).reshape(-1, 2)
+    inside = (e[:, 0] * -a[:, 1] - e[:, 1] * -a[:, 0] >= 0).reshape(-1, 3).all(axis=1)
+    tt = -np.einsum("ij,ij->i", a, e) / np.maximum(np.einsum("ij,ij->i", e, e), 1e-300)
+    closest = a + np.clip(tt, 0.0, 1.0)[:, None] * e
+    d = np.linalg.norm(closest, axis=1).reshape(-1, 3).min(axis=1)
     d[inside] = 0.0
     return d
-
-
-def _origin_inside(p: np.ndarray) -> np.ndarray:
-    # Barycentric sign test for the origin against CCW triangles.
-    def cross_to_origin(a, b):
-        return (b[:, 0] - a[:, 0]) * (-a[:, 1]) - (b[:, 1] - a[:, 1]) * (-a[:, 0])
-
-    s0 = cross_to_origin(p[:, 0], p[:, 1])
-    s1 = cross_to_origin(p[:, 1], p[:, 2])
-    s2 = cross_to_origin(p[:, 2], p[:, 0])
-    return (s0 >= 0) & (s1 >= 0) & (s2 >= 0)
-
-
-def _origin_segment_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ab = b - a
-    tt = -np.einsum("ij,ij->i", a, ab) / np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
-    tt = np.clip(tt, 0.0, 1.0)
-    closest = a + tt[:, None] * ab
-    return np.linalg.norm(closest, axis=1)
 
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
@@ -350,13 +343,13 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
     return 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
 
 
-def verify_grading(mesh: Mesh, c_lo: float = 0.1, c_hi: float = 10.0) -> GradingReport:
+def verify_grading(mesh: Mesh) -> GradingReport:
     """Audit every triangle against the local grading bounds.
 
     In the graded band ``h**gamma <= r_tri <= 1`` each diameter must satisfy
-    ``c_lo * h * r_tri**(1-1/gamma) <= h_tri <= c_hi * h * r_tri**(1-1/gamma)``;
+    ``0.1 * h * r_tri**(1-1/gamma) <= h_tri <= 10 * h * r_tri**(1-1/gamma)``;
     triangles with ``r_tri < h**gamma`` must satisfy
-    ``c_lo * h**gamma <= h_tri <= c_hi * h**gamma``.  ``h`` is the mesh's
+    ``0.1 * h**gamma <= h_tri <= 10 * h**gamma``.  ``h`` is the mesh's
     nominal ``h_star`` and ``gamma`` its grading exponent.  Failures are
     collected in the report rather than raised.
     """
@@ -368,7 +361,7 @@ def verify_grading(mesh: Mesh, c_lo: float = 0.1, c_hi: float = 10.0) -> Grading
     near = r_tri < h_gamma
     target = np.where(near, h_gamma, h * np.maximum(r_tri, h_gamma) ** (1.0 - 1.0 / gamma))
     ratio = h_tri / target
-    bad = (ratio < c_lo) | (ratio > c_hi)
+    bad = (ratio < _GRADING_C_LO) | (ratio > _GRADING_C_HI)
 
     labels = np.where(near, "near-corner band h_tri vs h**gamma",
                       "graded band h_tri vs h*r**(1-1/gamma)")
@@ -429,22 +422,22 @@ def read_mesh(path) -> Mesh:
 
     ``beta``, ``gamma`` and ``h_star`` come from the header suffix
     ``beta <b> gamma <g> h_star <h>`` that :func:`write_mesh` writes; a
-    header without it raises ValueError naming the expected header.
-    ``dataclasses.replace`` changes them on the result.
+    header without it raises ValueError naming the expected header, and so
+    does a file whose line count is not the ``1 + V + T + B`` the header
+    promises.  ``dataclasses.replace`` changes the metadata on the result.
     """
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 12 or header[6::2] != _METADATA_KEYS:
-            raise ValueError(f"mesh header {' '.join(header)!r} is not '<V> vertices <T> "
-                             "triangles <B> boundary_edges beta <b> gamma <g> h_star <h>'")
-        nv, nt, nb = int(header[0]), int(header[2]), int(header[4])
-        beta, gamma, h_star = (float(value) for value in header[7::2])
-        verts = np.array([[float(v) for v in fh.readline().split()] for _ in range(nv)])
-        tris = np.array([[int(v) for v in fh.readline().split()] for _ in range(nt)])
-        edges = []
-        for _ in range(nb):
-            i, j, tag = fh.readline().split()
-            if tag not in _EDGE_TAGS:
-                raise ValueError(f"unknown boundary edge tag {tag!r}")
-            edges.append((int(i), int(j), tag))
-    return Mesh(verts, tris, tuple(edges), beta, gamma, h_star)
+        lines = fh.read().splitlines()
+    header = lines[0].split() if lines else []
+    if len(header) != 12 or header[6::2] != _METADATA_KEYS:
+        raise ValueError(f"mesh header {' '.join(header)!r} is not '<V> vertices <T> "
+                         "triangles <B> boundary_edges beta <b> gamma <g> h_star <h>'")
+    nv, nt, nb = int(header[0]), int(header[2]), int(header[4])
+    beta, gamma, h_star = (float(value) for value in header[7::2])
+    if len(lines) != 1 + nv + nt + nb:
+        raise ValueError(f"mesh file {path} has {len(lines)} lines, but its header "
+                         f"promises 1 + {nv} + {nt} + {nb} = {1 + nv + nt + nb}")
+    verts = np.array([[float(v) for v in line.split()] for line in lines[1:1 + nv]])
+    tris = np.array([[int(v) for v in line.split()] for line in lines[1 + nv:1 + nv + nt]])
+    edges = tuple(line.split() for line in lines[1 + nv + nt:])
+    return Mesh(verts, tris, edges, beta, gamma, h_star)

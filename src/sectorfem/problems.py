@@ -3,7 +3,7 @@
 Two time-dependent benchmark problems and one static elliptic problem, each
 bundling exact solution, initial data, Laplace-domain source and the
 diffusivity normalization that makes the smallest eigenvalue of -K*Laplace
-equal to 1.
+equal to 1.  All three are posed on the sector with beta = 2/3 (angle 3*pi/2).
 
 A Laplace-domain source may be a :class:`SeparableSource`, a sum of scalar
 coefficients of z times z-independent fields.  The contour evolve then
@@ -24,6 +24,8 @@ import numpy as np
 
 from .fem import DIRICHLET, MIXED
 from .specialfn import bessel_j, first_bessel_zero, mittag_leffler_neg
+
+_BETA = 2.0 / 3.0  # aperture of every problem: the sector angle is pi/beta = 3*pi/2
 
 
 @dataclass(frozen=True)
@@ -151,14 +153,15 @@ def _singular_part_laplacian(beta: float, K: float):
     return Ag
 
 
-def example1(alpha: float, beta: float = 2.0 / 3.0) -> ProblemSpec:
-    """Manufactured singular solution with Dirichlet conditions.
+def example1(alpha: float) -> ProblemSpec:
+    """Manufactured singular solution with Dirichlet conditions, beta = 2/3.
 
     The solution is ``(1 + t**alpha/Gamma(1+alpha)) * r**beta (1-r)
     sin(beta theta)``; the matching source has the Laplace transform
     ``fhat(z) = z**-alpha g + (z**-alpha + z**-2alpha) A g``, separable in
     the two fields g and A g; g is also the initial data.
     """
+    beta = _BETA
     K = normalize_K(beta, DIRICHLET)
     g = _singular_part(beta)
     Ag = _singular_part_laplacian(beta, K)
@@ -174,14 +177,15 @@ def example1(alpha: float, beta: float = 2.0 / 3.0) -> ProblemSpec:
     return ProblemSpec("example1", alpha, beta, DIRICHLET, K, g, fhat, exact)
 
 
-def example2(alpha: float, beta: float = 2.0 / 3.0) -> ProblemSpec:
-    """Decay of the first mixed-condition eigenfunction (homogeneous source).
+def example2(alpha: float) -> ProblemSpec:
+    """Decay of the first mixed-condition eigenfunction (homogeneous source), beta = 2/3.
 
     Dirichlet on theta=0 and the arc, Neumann on theta=pi/beta.  The initial
     data is the first eigenfunction ``J_{beta/2}(w r) sin(beta theta / 2)``
     with w its Bessel zero, so the solution decays by the Mittag-Leffler
     factor ``E_alpha(-t**alpha)``.
     """
+    beta = _BETA
     K = normalize_K(beta, MIXED)
     w = first_bessel_zero(beta / 2)
 
@@ -195,13 +199,14 @@ def example2(alpha: float, beta: float = 2.0 / 3.0) -> ProblemSpec:
     return ProblemSpec("example2", alpha, beta, MIXED, K, u0, None, exact)
 
 
-def elliptic_singular(beta: float = 2.0 / 3.0) -> EllipticSpec:
-    """Static singular benchmark: exact u in H1 but not H2.
+def elliptic_singular() -> EllipticSpec:
+    """Static singular benchmark, beta = 2/3: exact u in H1 but not H2.
 
     ``u = r**beta (1-r) sin(beta theta)`` with source
     ``f = K (2 beta + 1) r**(beta-1) sin(beta theta)``, which is in L2 but
     drives the corner singularity.
     """
+    beta = _BETA
     K = normalize_K(beta, DIRICHLET)
     g = _singular_part(beta)
     f = _singular_part_laplacian(beta, K)

@@ -5,9 +5,9 @@ Bessel functions of the first kind of real order, and their first positive
 zeros.  All functions are pure and safe for concurrent use.
 
 ``mittag_leffler_neg`` has one backend: E_alpha(-x) is the inverse Laplace
-transform of ``z**(alpha-1)/(z**alpha + x)`` at t = 1, summed on the same
-hyperbolic contour as the solver (``laplace_invert_scalar``) with node
-half-count M = 16.  Against a 25-digit quadrature of its integral
+transform of ``z**(alpha-1)/(z**alpha + x)`` at t = 1, summed by this
+module's ``laplace_invert_scalar`` (the solver's hyperbolic contour) with
+node half-count M = 16.  Against a 25-digit quadrature of its integral
 representation the worst absolute error is 1.2e-14 over alpha in [0.01, 1]
 and x in [1e-8, 50].  The Taylor series is not used: it cancels
 catastrophically, and for small alpha its terms overflow a double before x
@@ -53,11 +53,6 @@ _BESSEL_SERIES_TERMS = 24
 _ML_CONTOUR_M = 16
 
 
-def _ml_contour(alpha: float, x: float, M: int) -> float:
-    # E_alpha(-x) = L^{-1}{ z**(alpha-1)/(z**alpha + x) } evaluated at t = 1
-    return laplace_invert_scalar(lambda z: z ** (alpha - 1.0) / (z ** alpha + x), 1.0, M)
-
-
 def mittag_leffler_neg(alpha: float, x: float) -> float:
     """E_alpha(-x) = sum_p (-x)**p / Gamma(1 + p*alpha) for 0 < alpha <= 1, x >= 0.
 
@@ -71,7 +66,9 @@ def mittag_leffler_neg(alpha: float, x: float) -> float:
         raise ValueError(f"argument must be >= 0, got {x}")
     if x == 0.0:
         return 1.0
-    return min(1.0, max(0.0, _ml_contour(alpha, x, _ML_CONTOUR_M)))
+    # E_alpha(-x) = L^{-1}{ z**(alpha-1)/(z**alpha + x) } evaluated at t = 1
+    e = laplace_invert_scalar(lambda z: z ** (alpha - 1.0) / (z ** alpha + x), 1.0, _ML_CONTOUR_M)
+    return min(1.0, max(0.0, e))
 
 
 def bessel_j(nu: float, x):

@@ -166,12 +166,12 @@ def test_criterion_8_grading_audit(mesh_cache):
     checked = 0
     for gamma in (1.0, 1.5, 3.0):
         for h_star in (2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6, 2 ** -7):
-            report = sf.verify_grading(mesh_cache(h_star, gamma), 0.1, 10.0)
+            report = sf.verify_grading(mesh_cache(h_star, gamma))
             assert report.passed, (gamma, h_star, report.violations[:3])
             checked += 1
     from dataclasses import replace
     control = replace(mesh_cache(2 ** -5, 1.0), gamma=3.0)
-    negative = sf.verify_grading(control, 0.1, 10.0)
+    negative = sf.verify_grading(control)
     assert not negative.passed
     print(f"\nACCEPTANCE 8: grading audit passed on {checked} meshes "
           f"(beta=2/3, h*=2^-3..2^-7, gamma=1,3/2,3); uniform-mesh control "

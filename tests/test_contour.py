@@ -1,6 +1,7 @@
 """Contour construction, node solves and the folded quadrature sum."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -212,6 +213,28 @@ def test_evolve_reports_nonfinite_separable_term_before_any_solve(monkeypatch, s
     monkeypatch.setattr(fem, "solve_complex_symmetric", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=r"non-finite value at \(0\.[5-9]"):
         inverse_laplace_evolve(replace(spec, fhat=spoiled), msh, dm, M, S, 1.0, 8)
+    assert calls == []
+
+
+@pytest.mark.parametrize("swapped", ["both", "mass"])
+def test_evolve_rejects_operators_of_another_size_before_any_load(monkeypatch, assembled_cache,
+                                                                  swapped):
+    # the shapes are named up front, not by scipy from inside the first
+    # node solve ("b is of incompatible size", "inconsistent shapes")
+    spec = sf.example2(0.5)
+    msh, dm, M, S = assembled_cache(2 ** -2, 1.0, fem.MIXED, spec.K)
+    _, _, M_fine, S_fine = assembled_cache(2 ** -3, 1.0, fem.MIXED, spec.K)
+    if swapped == "both":
+        M, S = M_fine, S_fine
+    else:
+        M = M_fine
+    calls = []
+    monkeypatch.setattr(fem, "assemble_load", lambda *args: calls.append(args))
+    monkeypatch.setattr(fem, "solve_complex_symmetric", lambda *args: calls.append(args))
+    n = dm.n_dofs
+    with pytest.raises(ValueError, match=re.escape(f"mass {M.shape} and stiffness {S.shape} "
+                                                   f"must both be ({n}, {n})")):
+        inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
     assert calls == []
 
 

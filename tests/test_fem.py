@@ -52,6 +52,13 @@ def test_stiffness_rejects_nonpositive_K(mesh_cache):
             fem.assemble_stiffness(msh, fem.unconstrained_dofmap(msh), K)
 
 
+def test_stiffness_requires_K(mesh_cache):
+    # no default diffusivity may stand in for a forgotten spec.K (Example 2's is 0.1187)
+    msh = mesh_cache(2 ** -3, 1.0)
+    with pytest.raises(TypeError, match="K"):
+        fem.assemble_stiffness(msh, fem.unconstrained_dofmap(msh))
+
+
 @pytest.mark.parametrize("direction", ["coarse_mesh", "fine_mesh"])
 @pytest.mark.parametrize("path", ["mass", "stiffness", "load", "l2_error", "h1_error"])
 def test_a_dofmap_of_another_mesh_is_rejected(mesh_cache, path, direction):
@@ -62,7 +69,7 @@ def test_a_dofmap_of_another_mesh_is_rejected(mesh_cache, path, direction):
     dm = sf.build_dofmap(other, fem.DIRICHLET)
     uh = np.zeros(dm.n_dofs)
     run = {"mass": lambda: fem.assemble_mass(msh, dm),
-           "stiffness": lambda: fem.assemble_stiffness(msh, dm),
+           "stiffness": lambda: fem.assemble_stiffness(msh, dm, 1.0),
            "load": lambda: fem.assemble_load(msh, dm, lambda x, y: x),
            "l2_error": lambda: sf.l2_error(msh, dm, uh, lambda x, y: x),
            "h1_error": lambda: sf.h1_seminorm_error(msh, dm, uh, lambda x, y: (x, y))}[path]

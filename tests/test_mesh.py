@@ -247,7 +247,7 @@ def test_arc_vertices_on_unit_circle(mesh_cache):
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 3.0])
 def test_grading_audit_passes_on_generated(mesh_cache, gamma):
     for h_star in (2 ** -3, 2 ** -4, 2 ** -5):
-        report = sf.verify_grading(mesh_cache(h_star, gamma), 0.1, 10.0)
+        report = sf.verify_grading(mesh_cache(h_star, gamma))
         assert report.passed, report.violations[:3]
         assert 0.1 <= report.observed_c <= report.observed_C <= 10.0
 
@@ -255,7 +255,7 @@ def test_grading_audit_passes_on_generated(mesh_cache, gamma):
 def test_grading_negative_control_uniform_as_gamma3(mesh_cache):
     uniform = mesh_cache(2 ** -5, 1.0)
     mislabeled = replace(uniform, gamma=3.0)
-    report = sf.verify_grading(mislabeled, 0.1, 10.0)
+    report = sf.verify_grading(mislabeled)
     assert not report.passed
     # the characteristic failure: near-origin elements far larger than h**gamma
     near = [v for v in report.violations if "near-corner" in v[3]]
@@ -361,6 +361,16 @@ def test_origin_distances():
     assert d[1] == pytest.approx(math.sqrt(0.5))
 
 
+@pytest.mark.parametrize("shift, expect", [((0.25, 0.25), 0.0), ((0.0, 0.5), 0.0),
+                                           ((-0.5, 0.25), 0.5), ((-0.5, -0.5), math.sqrt(0.5))])
+def test_origin_distances_when_the_origin_is_not_a_vertex(shift, expect):
+    # the origin strictly inside, on an edge, beside an edge and beside a vertex
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) - shift
+    msh = Mesh(verts, np.array([[0, 1, 2]]), ((0, 1, EDGE_THETA0), (1, 2, EDGE_ARC),
+                                              (2, 0, EDGE_THETA_MAX)), BETA, 1.0, 0.5)
+    assert triangle_origin_distances(msh)[0] == pytest.approx(expect, abs=1e-15)
+
+
 def test_write_read_round_trip(tmp_path, mesh_cache):
     msh = mesh_cache(2 ** -3, 1.5)
     path = tmp_path / "mesh.txt"
@@ -448,6 +458,38 @@ def test_read_rejects_out_of_range_index(tmp_path, mesh_cache, line, index):
     lines[k] = " ".join(fields)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"outside \[0, {msh.n_vertices}\)"):
+        sf.read_mesh(path)
+
+
+@pytest.mark.parametrize("keep", ["all but the last 10", "the first 30"])
+def test_read_rejects_a_truncated_file(tmp_path, mesh_cache, keep):
+    # the message names the file and both counts, where parsing the short
+    # file would fail on an unpacking or a numpy shape error
+    msh = mesh_cache(2 ** -2, 1.0)
+    path = tmp_path / "mesh.txt"
+    sf.write_mesh(msh, path)
+    lines = path.read_text().splitlines()
+    kept = lines[:-10] if keep == "all but the last 10" else lines[:30]
+    path.write_text("\n".join(kept) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"mesh file {path} has {len(kept)} lines, "
+                                                   "but its header promises") +
+                       rf" .* = {len(lines)}$"):
+        sf.read_mesh(path)
+
+
+def test_mesh_rejects_unknown_boundary_tag(tmp_path, mesh_cache):
+    # an 'ARC' edge would leave its vertex free in the mixed dof map (29
+    # dofs instead of 28) and go into a file that read_mesh refuses
+    msh = mesh_cache(2 ** -2, 1.0)
+    i, j, tag = msh.boundary_edges[-1]
+    assert tag == EDGE_ARC
+    edges = msh.boundary_edges[:-1] + ((i, j, "ARC"),)
+    with pytest.raises(ValueError, match=rf"boundary edge \({i}, {j}\) has unknown tag 'ARC'"):
+        Mesh(msh.vertices, msh.triangles, edges, msh.beta, msh.gamma, msh.h_star)
+    path = tmp_path / "mesh.txt"
+    sf.write_mesh(msh, path)
+    path.write_text(path.read_text().replace(f"{i} {j} {EDGE_ARC}\n", f"{i} {j} ARC\n"))
+    with pytest.raises(ValueError, match="unknown tag 'ARC'"):
         sf.read_mesh(path)
 
 
