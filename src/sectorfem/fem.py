@@ -39,6 +39,15 @@ Every quadrature-point and reduction kernel is a single 2-D matrix
 product, which BLAS runs far faster than the equivalent three-operand
 einsum.
 
+Mass and stiffness go onto one P1 pattern.  :func:`_p1_pattern` numbers
+the edges between free dofs with one sort of the element edges' keys and
+lays out the int32 CSR arrays from them; the element matrices are then
+summed per dof and per edge in blocks of ``_INTEGRATE_BLOCK`` elements,
+so no array holds the 9 entries of every element.  M and S thus carry
+equal index arrays, and :func:`solve_complex_symmetric` forms each
+contour-node matrix ``z^a M + S`` as one complex data array on M's index
+arrays instead of a sparse sum.
+
 Assembled matrices are immutable in practice (never modified after return)
 and each solve factors its own copy, so concurrent solves against shared
 matrices are safe.
@@ -54,7 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, _edge_vectors, triangle_areas
+from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, _edge_vectors, _signed_areas, triangle_areas
 
 DIRICHLET = "dirichlet"
 MIXED = "mixed"
@@ -119,6 +128,21 @@ class DofMap:
         object.__setattr__(self, "vertex_to_dof",
                            np.ascontiguousarray(self.vertex_to_dof, dtype=np.int64))
         self.vertex_to_dof.setflags(write=False)
+        # Assembly sums element entries by dof number, so a numbering that
+        # is not one-to-one would silently merge or drop rows.
+        v, n = self.vertex_to_dof, self.n_dofs
+        bad = (v < -1) | (v >= n)
+        free = np.flatnonzero(v >= 0)
+        _, first = np.unique(v[free], return_index=True)
+        repeated = np.ones(free.size, dtype=bool)
+        repeated[first] = False
+        bad[free[repeated]] = True
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"vertex {k} has dof {v[k]}, but the free vertices must have "
+                             f"the dofs 0..{n - 1}, each once, and the others -1")
+        if first.size != n:
+            raise ValueError(f"the free vertices have {first.size} dofs, but n_dofs is {n}")
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         """Free-dof coefficients -> per-vertex nodal values (zeros where constrained)."""
@@ -165,7 +189,7 @@ def unconstrained_dofmap(mesh: Mesh) -> DofMap:
 def element_geometry(mesh: Mesh):
     """Per-element areas and constant P1 basis gradients."""
     e = _edge_vectors(mesh)
-    areas = triangle_areas(mesh)
+    areas = _signed_areas(e)
     # grad of barycentric i is the inward normal of the opposite edge / 2A
     grads = np.stack([-e[..., 1], e[..., 0]], axis=2)
     grads /= 2.0 * areas[:, None, None]
@@ -185,21 +209,107 @@ def _check_dofmap(mesh: Mesh, dofmap: DofMap) -> None:
                          f"but the mesh has {mesh.n_vertices}")
 
 
-def _scatter(mesh: Mesh, dofmap: DofMap, local: np.ndarray) -> sp.csr_array:
-    """Accumulate per-element 3x3 blocks into the free-dof CSR matrix.
+def _number_edges(dofs: np.ndarray, n: int):
+    """Number the element edges whose two vertices are free, in (lo, hi) order.
 
-    The indices are int32, which halves the index arrays of the matrix and
-    of every node matrix summed from it; SuperLU takes int32 indices too.
+    ``dofs`` (3, nt) holds each element's vertex dofs (-1 where
+    constrained) and ``n`` the number of free dofs.  Returns ``edge``
+    (3, nt), the number of the edge c of each element, the one joining its
+    vertices c+1 and c+2 (n_edges where a vertex is constrained), and the
+    end dofs ``lo < hi`` of every numbered edge; all int32.  The whole-mesh
+    temporaries set the assembly's memory peak, so each is freed once used.
+    """
+    a, b = dofs[[1, 2, 0]], dofs[[2, 0, 1]]
+    keys = np.minimum(a, b).astype(np.int64)
+    constrained = keys < 0
+    keys *= n
+    keys += np.maximum(a, b)
+    keys[constrained] = n * n  # above every free edge's key lo * n + hi
+    del a, b, constrained
+    keys = keys.ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    edge = np.empty(keys.size, dtype=np.int32)
+    edge[order] = np.cumsum(first, dtype=np.int32) - 1
+    del order
+    keys = keys[first]
+    lo, hi = np.divmod(keys[keys < n * n], n)
+    return edge.reshape(3, -1), lo.astype(np.int32), hi.astype(np.int32)
+
+
+def _p1_pattern(mesh: Mesh, dofmap: DofMap):
+    """CSR pattern of the free-dof P1 matrices and the sum each element entry adds to.
+
+    Returns ``(indptr, indices, ids, src)``, all int32.  ``indptr`` and
+    ``indices`` are canonical (sorted, duplicate-free) CSR arrays: row i
+    holds i and every free dof that shares an element edge with it.  The
+    entries of the element matrices are summed into n_dofs + n_edges + 1
+    sums: one per free dof (the diagonal), one per edge between two free
+    dofs (both of its off-diagonal entries, as the element matrices are
+    symmetric), and a last spill sum for the entries of constrained
+    vertices.  ``ids`` (nt, 6) names the sums that each element's entries
+    ``(_ROWS, _COLS)`` add to; ``src`` names the sum each CSR entry reads.
+    """
+    n = dofmap.n_dofs
+    dofs = dofmap.vertex_to_dof.astype(np.int32)[mesh.triangles.T]
+    edge, lo, hi = _number_edges(dofs, n)
+    n_edges = lo.size
+    # Row r holds its lower entries (the edges with hi = r), its diagonal,
+    # then its upper entries (the edges with lo = r), each part in column
+    # order.  The edge numbers follow (lo, hi), so the upper entries lie in
+    # number order; sorted stably by hi, the lower entries do too.
+    n_lower = np.bincount(hi, minlength=n).astype(np.int32)
+    n_upper = np.bincount(lo, minlength=n).astype(np.int32)
+    lower_end = np.cumsum(n_lower, dtype=np.int32)
+    upper_start = np.cumsum(n_upper, dtype=np.int32) - n_upper
+    rows = np.arange(n, dtype=np.int32)
+    diag = lower_end + upper_start + rows
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = diag + n_upper + 1
+    indices = np.empty(n + 2 * n_edges, dtype=np.int32)
+    src = np.empty(indices.size, dtype=np.int32)
+    indices[diag], src[diag] = rows, rows
+    number = np.arange(n_edges, dtype=np.int32)
+    upper = number + (lower_end + rows + 1)[lo]
+    indices[upper], src[upper] = hi, number + n
+    by_hi = np.argsort(hi, kind="stable")
+    lower = number + (upper_start + rows)[hi[by_hi]]
+    indices[lower], src[lower] = lo[by_hi], by_hi + n
+
+    ids = np.empty((dofs.shape[1], 6), dtype=np.int32)
+    ids[:, :3] = np.where(dofs < 0, n + n_edges, dofs).T
+    np.add(edge.T, n, out=ids[:, 3:])  # a constrained edge's number n_edges spills too
+    return indptr, indices, ids, src
+
+
+# The entries (i, j) of an element matrix that _p1_pattern's ids name: the
+# diagonal (c, c), then edge c's entry (c+1, c+2), for c = 0, 1, 2.
+_ROWS, _COLS = np.array([0, 1, 2, 1, 2, 0]), np.array([0, 1, 2, 2, 0, 1])
+
+
+def _assemble(mesh: Mesh, dofmap: DofMap, local: Callable) -> sp.csr_array:
+    """Sum symmetric element matrices into the free-dof CSR matrix on the P1 pattern.
+
+    ``local(block)`` returns the entries ``(_ROWS, _COLS)`` (e, 6) of the
+    element matrices of the elements in the slice ``block``.  They are
+    summed in blocks of ``_INTEGRATE_BLOCK`` elements, so no per-entry
+    array spans the whole mesh; each sum adds its terms in element order.
+    Both off-diagonal entries of an edge read one sum, so the matrix is
+    exactly symmetric.  The indices are int32, which halves the index
+    arrays of the matrix and of every node matrix formed from it; SuperLU
+    takes int32 indices too.
     """
     _check_dofmap(mesh, dofmap)
-    dofs = dofmap.vertex_to_dof[mesh.triangles].astype(np.int32)
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    vals = local.ravel()
-    keep = (rows >= 0) & (cols >= 0)
+    indptr, indices, ids, src = _p1_pattern(mesh, dofmap)
     n = dofmap.n_dofs
-    mat = sp.coo_array((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
-    return mat.tocsr()
+    sums = np.zeros(n + (indices.size - n) // 2 + 1)  # per dof, per edge, and the spill
+    for start in range(0, ids.shape[0], _INTEGRATE_BLOCK):
+        block = slice(start, start + _INTEGRATE_BLOCK)
+        np.add.at(sums, ids[block].ravel(), local(block).ravel())
+    return sp.csr_array((sums[src], indices, indptr), shape=(n, n))
 
 
 _MASS_BLOCK = np.array([[2.0, 1.0, 1.0],
@@ -209,8 +319,9 @@ _MASS_BLOCK = np.array([[2.0, 1.0, 1.0],
 
 def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_array:
     """Mass matrix M_ij = integral of phi_i phi_j over the free basis."""
-    local = triangle_areas(mesh)[:, None, None] * _MASS_BLOCK
-    return _scatter(mesh, dofmap, local)
+    areas = triangle_areas(mesh)
+    entries = _MASS_BLOCK[_ROWS, _COLS]
+    return _assemble(mesh, dofmap, lambda block: areas[block, None] * entries)
 
 
 def assemble_stiffness(mesh: Mesh, dofmap: DofMap, K: float) -> sp.csr_array:
@@ -218,8 +329,14 @@ def assemble_stiffness(mesh: Mesh, dofmap: DofMap, K: float) -> sp.csr_array:
     if not 0 < K < math.inf:  # also rejects NaN
         raise ValueError(f"diffusivity K must be positive and finite, got {K}")
     areas, grads = element_geometry(mesh)
-    local = K * areas[:, None, None] * np.einsum("eid,ejd->eij", grads, grads)
-    return _scatter(mesh, dofmap, local)
+    gx, gy = grads[..., 0], grads[..., 1]
+
+    def local(block):
+        x, y = gx[block], gy[block]
+        dots = x[:, _ROWS] * x[:, _COLS] + y[:, _ROWS] * y[:, _COLS]
+        return K * areas[block, None] * dots
+
+    return _assemble(mesh, dofmap, local)
 
 
 # The four children of the midpoint refinement of a triangle, as barycentric
@@ -412,7 +529,17 @@ def solve_complex_symmetric(zalpha: complex, mass: sp.sparray, stiffness: sp.spa
     zalpha = complex(zalpha)
     if not np.isfinite(zalpha.real) or not np.isfinite(zalpha.imag):
         raise ValueError(f"non-finite coefficient zalpha = {zalpha}")
-    # A complex coefficient makes the sum complex; no further copy is made.
-    return _lu_solve(zalpha * mass + stiffness, np.asarray(b, dtype=complex),
-                     "complex symmetric solve")
+    if (mass.format == stiffness.format == "csr" and mass.shape == stiffness.shape
+            and np.array_equal(mass.indptr, stiffness.indptr)
+            and np.array_equal(mass.indices, stiffness.indices)):
+        # Every assembled pair shares the P1 pattern, so the node matrix is
+        # one complex data array on M's index arrays, entry for entry what
+        # the sparse sum computes but with no index arrays or complex
+        # intermediate of its own.
+        data = mass.data * zalpha
+        data += stiffness.data
+        node = sp.csr_array((data, mass.indices, mass.indptr), shape=mass.shape)
+    else:
+        node = zalpha * mass + stiffness
+    return _lu_solve(node, np.asarray(b, dtype=complex), "complex symmetric solve")
 

@@ -339,7 +339,11 @@ def triangle_origin_distances(mesh: Mesh) -> np.ndarray:
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
     """Signed area of every triangle (positive for CCW orientation)."""
-    e = _edge_vectors(mesh)
+    return _signed_areas(_edge_vectors(mesh))
+
+
+def _signed_areas(e: np.ndarray) -> np.ndarray:
+    """Signed triangle areas from the (nt, 3, 2) :func:`_edge_vectors` ``e``."""
     return 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
 
 

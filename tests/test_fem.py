@@ -1,6 +1,7 @@
 """Assembly exactness, boundary handling, projections and sparse solvers."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -93,6 +94,103 @@ def test_stiffness_assembly_peak_memory(mesh_cache):
     msh = mesh_cache(2 ** -5, 3.0)
     dm = sf.build_dofmap(msh, fem.MIXED)
     assert traced_peak_mb(lambda: fem.assemble_stiffness(msh, dm, 1.0)) <= 7.4
+
+
+@pytest.fixture(scope="module")
+def finest_operators(mesh_cache):
+    """Mesh, mixed dof map, M and S of the finest acceptance-6 level (h*=2^-6, gamma=3)."""
+    msh = mesh_cache(2 ** -6, 3.0)
+    dm = sf.build_dofmap(msh, fem.MIXED)
+    return msh, dm, fem.assemble_mass(msh, dm), fem.assemble_stiffness(msh, dm, 1.0)
+
+
+# Peaks measured on the finest acceptance-6 mesh (48,450 triangles, 24,094
+# dofs); each bound is the measured peak plus about 25%.  With whole-mesh
+# COO arrays the two assemblies peaked at 21.1 and 23.7 MB, and with a
+# sparse sum for z^a M + S one node solve at 12.3 MB.
+def test_mass_assembly_peak_memory_on_the_finest_mesh(finest_operators):
+    msh, dm, _, _ = finest_operators  # 7.1 MB measured
+    assert traced_peak_mb(lambda: fem.assemble_mass(msh, dm)) <= 9.0
+
+
+def test_stiffness_assembly_peak_memory_on_the_finest_mesh(finest_operators):
+    msh, dm, _, _ = finest_operators  # 9.3 MB measured
+    assert traced_peak_mb(lambda: fem.assemble_stiffness(msh, dm, 1.0)) <= 11.5
+
+
+def test_node_solve_peak_memory_on_the_finest_mesh(finest_operators):
+    _, dm, M, S = finest_operators  # 3.7 MB measured, SuperLU's own memory untraced
+    b = np.ones(dm.n_dofs, dtype=complex)
+    assert traced_peak_mb(lambda: fem.solve_complex_symmetric((2.0 + 3.0j) ** 0.5, M, S, b)) <= 4.6
+
+
+def scatter_coo_reference(mesh, dofmap, local):
+    """COO reference for ``fem._assemble``: scatter all element matrices at once.
+
+    ``local`` (nt, 3, 3) holds every element matrix; the entries of
+    constrained vertices are dropped and duplicates summed by scipy.
+    """
+    dofs = dofmap.vertex_to_dof[mesh.triangles].astype(np.int32)
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    vals = local.ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    n = dofmap.n_dofs
+    return sp.coo_array((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+
+
+def reference_operators(mesh, dofmap, K):
+    """M and S with every element matrix built whole and scattered as COO."""
+    areas, grads = fem.element_geometry(mesh)
+    mass = scatter_coo_reference(mesh, dofmap, areas[:, None, None] * fem._MASS_BLOCK)
+    local = K * areas[:, None, None] * np.einsum("eid,ejd->eij", grads, grads)
+    return mass, scatter_coo_reference(mesh, dofmap, local)
+
+
+@settings(max_examples=12, deadline=None)
+@given(h_star=st.sampled_from([2 ** -2, 2 ** -3, 2 ** -4]), gamma=st.floats(1.0, 3.0),
+       bc_kind=st.sampled_from([fem.DIRICHLET, fem.MIXED, "none"]), K=st.floats(0.1, 10.0),
+       alpha=st.floats(0.05, 0.95), node=st.integers(0, 8))
+def test_pattern_assembly_matches_coo_reference(h_star, gamma, bc_kind, K, alpha, node):
+    msh = sf.generate_sector_mesh(BETA, h_star, gamma)
+    dm = fem.unconstrained_dofmap(msh) if bc_kind == "none" else sf.build_dofmap(msh, bc_kind)
+    M, S = fem.assemble_mass(msh, dm), fem.assemble_stiffness(msh, dm, K)
+    for A, ref in zip((M, S), reference_operators(msh, dm, K)):
+        assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
+        # only the order of each entry's sum changed
+        assert np.all(np.abs(A.data - ref.data) <= 3 * np.spacing(np.abs(ref.data)))
+    factored = []
+    real_splu = spla.splu
+
+    def splu(A, **kwargs):
+        factored.append(A)
+        return real_splu(A, **kwargs)
+
+    za = complex(make_contour(8, 1.0).nodes[node]) ** alpha
+    with mock.patch.object(fem.spla, "splu", splu):
+        fem.solve_complex_symmetric(za, M, S, np.ones(dm.n_dofs, dtype=complex))
+    # SuperLU gets the CSR node matrix as the CSC arrays of its transpose,
+    # formed on M's own index arrays
+    (A,) = factored
+    expect = za * M + S
+    assert np.shares_memory(A.indices, M.indices)
+    assert np.array_equal(A.indices, expect.indices) and np.array_equal(A.indptr, expect.indptr)
+    assert np.array_equal(A.data, expect.data)
+
+
+@pytest.mark.parametrize("numbering, n_dofs, message", [
+    ("repeated", 4, "vertex 3 has dof 0, "),  # assemble_mass gave a 4x4 matrix with one nonzero
+    ("too_large", 4, "vertex 5 has dof 4, "),  # assembly failed inside scipy's COO checks
+    ("below_minus_one", 4, "vertex 0 has dof -2, "),
+    ("one_dof_missing", 5, "the free vertices have 4 dofs, but n_dofs is 5"),
+])
+def test_dofmap_rejects_a_numbering_that_is_not_one_to_one(numbering, n_dofs, message):
+    msh = sf.generate_sector_mesh(BETA, 2 ** -1, 1.0)
+    v = sf.build_dofmap(msh, fem.DIRICHLET).vertex_to_dof  # four free vertices, 2..5
+    bad = {"repeated": np.where(v >= 0, 0, -1), "too_large": np.where(v >= 0, v + 1, -1),
+           "below_minus_one": np.where(v >= 0, v, -2), "one_dof_missing": v}[numbering]
+    with pytest.raises(ValueError, match=message):
+        fem.DofMap(bad, n_dofs, fem.DIRICHLET)
 
 
 def test_mass_row_sums_equal_area(mesh_cache):
