@@ -39,11 +39,13 @@ Every quadrature-point and reduction kernel is a single 2-D matrix
 product, which BLAS runs far faster than the equivalent three-operand
 einsum.
 
-Mass and stiffness go onto one P1 pattern.  :func:`_p1_pattern` numbers
-the edges between free dofs with one sort of the element edges' keys and
-lays out the int32 CSR arrays from them; the element matrices are then
-summed per dof and per edge in blocks of ``_INTEGRATE_BLOCK`` elements,
-so no array holds the 9 entries of every element.  M and S thus carry
+Mass and stiffness go onto one P1 pattern.  :func:`_p1_pattern` reads the
+edges from ``Mesh.triangle_edges``, numbered once per mesh in (lo, hi)
+vertex order.  A :class:`DofMap` numbers the free vertices in vertex order,
+so the edges between free dofs come in (lo, hi) dof order with no sort
+here; the int32 CSR arrays are laid out from them.  The element matrices
+are then summed per dof and per edge in blocks of ``_INTEGRATE_BLOCK``
+elements, so no array holds the 9 entries of every element.  M and S carry
 equal index arrays, and :func:`solve_complex_symmetric` forms each
 contour-node matrix ``z^a M + S`` as one complex data array on M's index
 arrays instead of a sparse sum.
@@ -63,7 +65,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, _edge_vectors, _signed_areas, triangle_areas
+from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, _edge_vectors, triangle_areas
 
 DIRICHLET = "dirichlet"
 MIXED = "mixed"
@@ -118,7 +120,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class DofMap:
-    """Vertex-to-dof numbering with constrained vertices marked by -1."""
+    """Vertex-to-dof numbering with constrained vertices marked by -1.
+
+    The free vertices carry the dofs 0..n_dofs-1 in vertex order.
+    """
 
     vertex_to_dof: np.ndarray
     n_dofs: int
@@ -128,21 +133,19 @@ class DofMap:
         object.__setattr__(self, "vertex_to_dof",
                            np.ascontiguousarray(self.vertex_to_dof, dtype=np.int64))
         self.vertex_to_dof.setflags(write=False)
-        # Assembly sums element entries by dof number, so a numbering that
-        # is not one-to-one would silently merge or drop rows.
+        # Assembly sums element entries by dof number, and the P1 pattern
+        # needs the mesh's edge order (vertex order) to be dof order.
         v, n = self.vertex_to_dof, self.n_dofs
+        free = v >= 0
         bad = (v < -1) | (v >= n)
-        free = np.flatnonzero(v >= 0)
-        _, first = np.unique(v[free], return_index=True)
-        repeated = np.ones(free.size, dtype=bool)
-        repeated[first] = False
-        bad[free[repeated]] = True
+        if not bad.any():
+            bad = free & (v != np.cumsum(free) - 1)
         if bad.any():
             k = int(np.flatnonzero(bad)[0])
             raise ValueError(f"vertex {k} has dof {v[k]}, but the free vertices must have "
-                             f"the dofs 0..{n - 1}, each once, and the others -1")
-        if first.size != n:
-            raise ValueError(f"the free vertices have {first.size} dofs, but n_dofs is {n}")
+                             f"the dofs 0..{n - 1} in vertex order, and the others -1")
+        if free.sum() != n:
+            raise ValueError(f"the free vertices have {free.sum()} dofs, but n_dofs is {n}")
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         """Free-dof coefficients -> per-vertex nodal values (zeros where constrained)."""
@@ -189,7 +192,7 @@ def unconstrained_dofmap(mesh: Mesh) -> DofMap:
 def element_geometry(mesh: Mesh):
     """Per-element areas and constant P1 basis gradients."""
     e = _edge_vectors(mesh)
-    areas = _signed_areas(e)
+    areas = triangle_areas(mesh)
     # grad of barycentric i is the inward normal of the opposite edge / 2A
     grads = np.stack([-e[..., 1], e[..., 0]], axis=2)
     grads /= 2.0 * areas[:, None, None]
@@ -209,37 +212,6 @@ def _check_dofmap(mesh: Mesh, dofmap: DofMap) -> None:
                          f"but the mesh has {mesh.n_vertices}")
 
 
-def _number_edges(dofs: np.ndarray, n: int):
-    """Number the element edges whose two vertices are free, in (lo, hi) order.
-
-    ``dofs`` (3, nt) holds each element's vertex dofs (-1 where
-    constrained) and ``n`` the number of free dofs.  Returns ``edge``
-    (3, nt), the number of the edge c of each element, the one joining its
-    vertices c+1 and c+2 (n_edges where a vertex is constrained), and the
-    end dofs ``lo < hi`` of every numbered edge; all int32.  The whole-mesh
-    temporaries set the assembly's memory peak, so each is freed once used.
-    """
-    a, b = dofs[[1, 2, 0]], dofs[[2, 0, 1]]
-    keys = np.minimum(a, b).astype(np.int64)
-    constrained = keys < 0
-    keys *= n
-    keys += np.maximum(a, b)
-    keys[constrained] = n * n  # above every free edge's key lo * n + hi
-    del a, b, constrained
-    keys = keys.ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    edge = np.empty(keys.size, dtype=np.int32)
-    edge[order] = np.cumsum(first, dtype=np.int32) - 1
-    del order
-    keys = keys[first]
-    lo, hi = np.divmod(keys[keys < n * n], n)
-    return edge.reshape(3, -1), lo.astype(np.int32), hi.astype(np.int32)
-
-
 def _p1_pattern(mesh: Mesh, dofmap: DofMap):
     """CSR pattern of the free-dof P1 matrices and the sum each element entry adds to.
 
@@ -254,9 +226,19 @@ def _p1_pattern(mesh: Mesh, dofmap: DofMap):
     ``(_ROWS, _COLS)`` add to; ``src`` names the sum each CSR entry reads.
     """
     n = dofmap.n_dofs
-    dofs = dofmap.vertex_to_dof.astype(np.int32)[mesh.triangles.T]
-    edge, lo, hi = _number_edges(dofs, n)
+    dofs = dofmap.vertex_to_dof.astype(np.int32)[mesh.triangles]
+    edge = mesh.triangle_edges
+    # each mesh edge's end dofs (-1 if constrained); as dofs follow vertex
+    # order, the free edges come in (lo, hi) dof order
+    a, b = dofs[:, [1, 2, 0]], dofs[:, [2, 0, 1]]
+    lo = np.empty(int(edge.max(initial=-1)) + 1, dtype=np.int32)
+    hi = np.empty_like(lo)
+    lo[edge], hi[edge] = np.minimum(a, b), np.maximum(a, b)
+    del a, b  # whole-mesh temporaries, freed before the layout
+    free = lo >= 0
+    lo, hi = lo[free], hi[free]
     n_edges = lo.size
+    free_edge = np.where(free, np.cumsum(free, dtype=np.int32) - 1, n_edges)
     # Row r holds its lower entries (the edges with hi = r), its diagonal,
     # then its upper entries (the edges with lo = r), each part in column
     # order.  The edge numbers follow (lo, hi), so the upper entries lie in
@@ -279,9 +261,9 @@ def _p1_pattern(mesh: Mesh, dofmap: DofMap):
     lower = number + (upper_start + rows)[hi[by_hi]]
     indices[lower], src[lower] = lo[by_hi], by_hi + n
 
-    ids = np.empty((dofs.shape[1], 6), dtype=np.int32)
-    ids[:, :3] = np.where(dofs < 0, n + n_edges, dofs).T
-    np.add(edge.T, n, out=ids[:, 3:])  # a constrained edge's number n_edges spills too
+    ids = np.empty((dofs.shape[0], 6), dtype=np.int32)
+    ids[:, :3] = np.where(dofs < 0, n + n_edges, dofs)
+    np.add(free_edge[edge], n, out=ids[:, 3:])  # a constrained edge's number n_edges spills too
     return indptr, indices, ids, src
 
 

@@ -104,8 +104,8 @@ def _epsilon_cases(h: float, gamma: float, beta: float, bc_kind: str) -> float:
         raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
     if not 0 < h < 1:
         raise ValueError(f"h must lie in (0, 1), got {h}")
-    if gamma < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    if not (1.0 <= gamma < math.inf):
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
     exponent = _corner_exponent(gamma, beta, bc_kind)
     if exponent is None:
         return h * math.sqrt(math.log1p(1.0 / h))
@@ -134,7 +134,7 @@ def fit_rate(points: Sequence) -> float:
     pts = [(float(x), float(e)) for x, e in points]
     if len(pts) < 3:
         raise ValueError("rate fit needs at least 3 points")
-    if any(x <= 0 or e <= 0 for x, e in pts):
+    if not all(0 < x < math.inf and 0 < e < math.inf for x, e in pts):  # NaN fails too
         raise ValueError("rate fit needs positive abscissas and errors")
     lx = np.log([x for x, _ in pts])
     le = np.log([e for _, e in pts])

@@ -16,7 +16,9 @@ whose line count is not the one its header promises.
 
 Mesh values are checked on construction (indices, boundary tags,
 orientation, conformity), then immutable (vertex/triangle arrays are
-marked read-only) and safe to share across threads.
+marked read-only) and safe to share across threads.  The conformity check
+numbers the undirected edges, and the mesh keeps that numbering as
+``Mesh.triangle_edges`` for the assembly's sparsity pattern.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ class Mesh:
     beta : aperture parameter; the sector angle is pi/beta.
     gamma : grading exponent (>= 1; 1 means quasiuniform).
     h_star : nominal mesh parameter used to generate the mesh.
+    triangle_edges : (nt, 3) int32 array, derived (not an argument, nor in
+        ``repr`` or ``==``): entry c numbers the edge joining vertices c+1
+        and c+2; the edges are numbered 0..ne-1 in order of ``lo * nv + hi``.
     """
 
     vertices: np.ndarray
@@ -56,6 +61,7 @@ class Mesh:
     beta: float
     gamma: float
     h_star: float
+    triangle_edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.ascontiguousarray(self.vertices, dtype=float))
@@ -85,7 +91,8 @@ class Mesh:
             raise ValueError(f"triangle {k} with vertices {self.triangles[k].tolist()} at "
                              f"{self.vertices[self.triangles[k]].tolist()} is clockwise or "
                              "degenerate (signed area <= 0)")
-        _check_conformity(self)
+        object.__setattr__(self, "triangle_edges", _check_conformity(self))
+        self.triangle_edges.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
@@ -96,20 +103,33 @@ class Mesh:
         return self.triangles.shape[0]
 
 
-def _check_conformity(mesh: Mesh) -> None:
-    """Raise ValueError unless the triangles form a conforming mesh.
+def _check_conformity(mesh: Mesh) -> np.ndarray:
+    """Number the undirected edges; raise ValueError unless they form a conforming mesh.
 
-    Each undirected edge must lie in at most two triangles, and the edges
-    that lie in exactly one must be the tagged ``boundary_edges``, each
-    tagged once.  Edges are compared as one int64 key ``lo * nv + hi``.
+    Each edge must lie in at most two triangles, and the edges that lie in
+    exactly one must be the tagged ``boundary_edges``, each tagged once.
+    Edges are compared as one int64 key ``lo * nv + hi`` and numbered in
+    key order by one stable sort of the 3*nt element edges' keys.  Returns
+    the ``Mesh.triangle_edges`` array (nt, 3).
     """
     nv = mesh.n_vertices
-    ends = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)])
-    keys = (ends.min(axis=0) * nv + ends.max(axis=0)).ravel()  # key k is in triangle k // 3
-    edges, counts = np.unique(keys, return_counts=True)
+    a, b = mesh.triangles[:, [1, 2, 0]], mesh.triangles[:, [2, 0, 1]]  # edge c's ends
+    keys = np.minimum(a, b)
+    keys *= nv
+    keys += np.maximum(a, b)
+    del a, b  # whole-mesh temporaries, freed before the sort
+    order = np.argsort(keys.ravel(), kind="stable")
+    keys = keys.ravel()[order]
+    first = np.diff(keys, prepend=-1) != 0
+    number = np.empty(keys.size, dtype=np.int32)
+    number[order] = np.cumsum(first, dtype=np.int32) - 1
+    del order
+    number = number.reshape(-1, 3)
+    start = np.flatnonzero(first)
+    edges, counts = keys[start], np.diff(start, append=keys.size)
 
     def described(key):
-        holders = (np.flatnonzero(keys == key) // 3).tolist()
+        holders = np.flatnonzero((number == np.searchsorted(edges, key)).any(axis=1)).tolist()
         return f"edge ({key // nv}, {key % nv}) of triangle(s) {holders}"
 
     crowded = edges[counts > 2]
@@ -133,6 +153,7 @@ def _check_conformity(mesh: Mesh) -> None:
                              "shared by two triangles")
         raise ValueError(f"boundary edge ({key // nv}, {key % nv}) is not an edge of "
                          "any triangle")
+    return number
 
 
 @dataclass(frozen=True)
@@ -338,13 +359,10 @@ def triangle_origin_distances(mesh: Mesh) -> np.ndarray:
 
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Signed area of every triangle (positive for CCW orientation)."""
-    return _signed_areas(_edge_vectors(mesh))
-
-
-def _signed_areas(e: np.ndarray) -> np.ndarray:
-    """Signed triangle areas from the (nt, 3, 2) :func:`_edge_vectors` ``e``."""
-    return 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
+    """Signed area of every triangle (positive for CCW orientation), from two edges."""
+    x0, x1, x2 = mesh.vertices[:, 0][mesh.triangles.T]
+    y0, y1, y2 = mesh.vertices[:, 1][mesh.triangles.T]
+    return 0.5 * ((x0 - x2) * (y1 - y0) - (y0 - y2) * (x1 - x0))
 
 
 def verify_grading(mesh: Mesh) -> GradingReport:

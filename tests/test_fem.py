@@ -183,12 +183,15 @@ def test_pattern_assembly_matches_coo_reference(h_star, gamma, bc_kind, K, alpha
     ("too_large", 4, "vertex 5 has dof 4, "),  # assembly failed inside scipy's COO checks
     ("below_minus_one", 4, "vertex 0 has dof -2, "),
     ("one_dof_missing", 5, "the free vertices have 4 dofs, but n_dofs is 5"),
+    # one-to-one, but the P1 pattern needs the free edges in vertex order
+    ("permuted", 4, "vertex 2 has dof 1, "),
 ])
 def test_dofmap_rejects_a_numbering_that_is_not_one_to_one(numbering, n_dofs, message):
     msh = sf.generate_sector_mesh(BETA, 2 ** -1, 1.0)
     v = sf.build_dofmap(msh, fem.DIRICHLET).vertex_to_dof  # four free vertices, 2..5
     bad = {"repeated": np.where(v >= 0, 0, -1), "too_large": np.where(v >= 0, v + 1, -1),
-           "below_minus_one": np.where(v >= 0, v, -2), "one_dof_missing": v}[numbering]
+           "below_minus_one": np.where(v >= 0, v, -2), "one_dof_missing": v,
+           "permuted": v[np.r_[0, 1, 3, 2, 4:v.size]]}[numbering]
     with pytest.raises(ValueError, match=message):
         fem.DofMap(bad, n_dofs, fem.DIRICHLET)
 

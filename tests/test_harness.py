@@ -193,6 +193,11 @@ def test_epsilon_validation():
         sf.epsilon(0.1, 0.5, BETA)
     with pytest.raises(ValueError):
         sf.epsilon(0.1, 1.0, 0.3)
+    # nan passed `gamma < 1`, and epsilon_mix(0.1, inf, 2/3) returned 0.173
+    for fn in (sf.epsilon, sf.epsilon_mix):
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"gamma must be finite and >= 1, got {gamma}"):
+                fn(0.1, gamma, BETA)
 
 
 def test_fit_rate_exact_powers():
@@ -215,6 +220,11 @@ def test_fit_rate_validation():
         sf.fit_rate([(1.0, 1.0), (1.0, 0.5), (1.0, 0.25)])
     with pytest.raises(ValueError):
         sf.fit_rate([(1.0, 1.0), (2.0, -0.5), (3.0, 0.2)])
+    # a NaN error used to give a NaN slope
+    for bad in ([(1.0, 1.0), (2.0, math.nan), (4.0, 0.1)],
+                [(1.0, 1.0), (math.inf, 0.5), (4.0, 0.1)]):
+        with pytest.raises(ValueError, match="rate fit needs positive abscissas and errors"):
+            sf.fit_rate(bad)
 
 
 def test_run_convergence_elliptic_report(tmp_path):

@@ -3,7 +3,7 @@
 import math
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from sectorfem import mesh as mesh_module
 from sectorfem.mesh import (EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh,
                             triangle_areas, triangle_diameters,
                             triangle_origin_distances)
+from conftest import traced_peak_mb
 
 BETA = 2.0 / 3.0
 
@@ -58,6 +59,54 @@ def assert_conforming(msh):
 @pytest.mark.parametrize("h_star", [2 ** -3, 2 ** -5])
 def test_conformity(mesh_cache, gamma, h_star):
     assert_conforming(mesh_cache(h_star, gamma))
+
+
+def assert_edge_numbering(msh):
+    """Loop reference for ``Mesh.triangle_edges``."""
+    numbers = msh.triangle_edges
+    assert numbers.dtype == np.int32 and numbers.shape == (msh.n_triangles, 3)
+    assert not numbers.flags.writeable
+    holders = {}  # edge number -> (its vertex pair (lo, hi), the triangles that hold it)
+    for k, (tri, row) in enumerate(zip(msh.triangles.tolist(), numbers.tolist())):
+        for c, number in enumerate(row):
+            pair = tuple(sorted((tri[(c + 1) % 3], tri[(c + 2) % 3])))
+            ends, held = holders.setdefault(number, (pair, []))
+            assert ends == pair  # entry c joins vertices c+1 and c+2
+            held.append(k)
+    assert sorted(holders) == list(range(len(holders)))
+    pairs = [holders[number][0] for number in range(len(holders))]
+    assert all(p < q for p, q in zip(pairs, pairs[1:]))  # key order lo * nv + hi
+    tagged = {tuple(sorted((i, j))) for i, j, _ in msh.boundary_edges}
+    assert all(len(held) == (1 if pair in tagged else 2) for pair, held in holders.values())
+    assert np.array_equal(replace(msh).triangle_edges, numbers)
+
+
+@pytest.mark.parametrize("beta, h_star, gamma", [(BETA, 2 ** -1, 1.0), (BETA, 2 ** -3, 1.0),
+                                                 (BETA, 2 ** -3, 3.0), (0.55, 2 ** -4, 1.5),
+                                                 (0.95, 2 ** -2, 2.0)])
+def test_triangle_edges_number_each_edge_once(beta, h_star, gamma):
+    assert_edge_numbering(sf.generate_sector_mesh(beta, h_star, gamma))
+
+
+def test_triangle_edges_of_a_mesh_read_back(tmp_path, mesh_cache):
+    msh = mesh_cache(2 ** -3, 1.5)
+    path = tmp_path / "mesh.txt"
+    sf.write_mesh(msh, path)
+    got = sf.read_mesh(path)
+    assert_edge_numbering(got)
+    assert np.array_equal(got.triangle_edges, msh.triangle_edges)
+
+
+def test_triangle_edges_is_derived_not_a_field_to_set():
+    (f,) = [f for f in fields(Mesh) if f.name == "triangle_edges"]
+    assert (f.init, f.repr, f.compare) == (False, False, False)
+
+
+def test_generate_peak_memory_on_the_finest_mesh():
+    # 8.4-8.8 MB measured on the finest acceptance-6 mesh (48,450 triangles)
+    # while the conformity check counted edges with np.unique; 6.6 MB with
+    # the one stable argsort that also numbers them
+    assert traced_peak_mb(lambda: sf.generate_sector_mesh(BETA, 2 ** -6, 3.0)) <= 8.8
 
 
 @settings(max_examples=10, deadline=None)
