@@ -40,15 +40,15 @@ product, which BLAS runs far faster than the equivalent three-operand
 einsum.
 
 Mass and stiffness go onto one P1 pattern.  :func:`_p1_pattern` reads the
-edges from ``Mesh.triangle_edges``, numbered once per mesh in (lo, hi)
-vertex order.  A :class:`DofMap` numbers the free vertices in vertex order,
-so the edges between free dofs come in (lo, hi) dof order with no sort
-here; the int32 CSR arrays are laid out from them.  The element matrices
-are then summed per dof and per edge in blocks of ``_INTEGRATE_BLOCK``
-elements, so no array holds the 9 entries of every element.  M and S carry
-equal index arrays, and :func:`solve_complex_symmetric` forms each
-contour-node matrix ``z^a M + S`` as one complex data array on M's index
-arrays instead of a sparse sum.
+edges from ``Mesh.triangle_edges``, numbered once per mesh, keeps those
+between two free dofs, and lets scipy's COO-to-CSR conversion lay out the
+int32 CSR arrays: the diagonal and both entries of each free edge, each
+carrying the number of the sum it reads.  The element matrices are then
+summed per dof and per edge in blocks of ``_INTEGRATE_BLOCK`` elements, so
+no array holds the 9 entries of every element.  M and S carry equal index
+arrays, and :func:`solve_complex_symmetric` forms each contour-node matrix
+``z^a M + S`` as one complex data array on M's index arrays instead of a
+sparse sum.
 
 Assembled matrices are immutable in practice (never modified after return)
 and each solve factors its own copy, so concurrent solves against shared
@@ -133,8 +133,8 @@ class DofMap:
         object.__setattr__(self, "vertex_to_dof",
                            np.ascontiguousarray(self.vertex_to_dof, dtype=np.int64))
         self.vertex_to_dof.setflags(write=False)
-        # Assembly sums element entries by dof number, and the P1 pattern
-        # needs the mesh's edge order (vertex order) to be dof order.
+        # Assembly sums element entries by dof number, so the numbering must
+        # be one-to-one; requiring vertex order makes that one comparison.
         v, n = self.vertex_to_dof, self.n_dofs
         free = v >= 0
         bad = (v < -1) | (v >= n)
@@ -224,12 +224,15 @@ def _p1_pattern(mesh: Mesh, dofmap: DofMap):
     symmetric), and a last spill sum for the entries of constrained
     vertices.  ``ids`` (nt, 6) names the sums that each element's entries
     ``(_ROWS, _COLS)`` add to; ``src`` names the sum each CSR entry reads.
+    The CSR arrays come from scipy's COO-to-CSR conversion of the sum
+    numbers at the diagonal and at both entries of each free edge; as each
+    free edge appears once, the conversion sums nothing and only sorts, so
+    the free edges may arrive in any order.
     """
     n = dofmap.n_dofs
     dofs = dofmap.vertex_to_dof.astype(np.int32)[mesh.triangles]
     edge = mesh.triangle_edges
-    # each mesh edge's end dofs (-1 if constrained); as dofs follow vertex
-    # order, the free edges come in (lo, hi) dof order
+    # each mesh edge's end dofs (-1 if constrained)
     a, b = dofs[:, [1, 2, 0]], dofs[:, [2, 0, 1]]
     lo = np.empty(int(edge.max(initial=-1)) + 1, dtype=np.int32)
     hi = np.empty_like(lo)
@@ -239,32 +242,16 @@ def _p1_pattern(mesh: Mesh, dofmap: DofMap):
     lo, hi = lo[free], hi[free]
     n_edges = lo.size
     free_edge = np.where(free, np.cumsum(free, dtype=np.int32) - 1, n_edges)
-    # Row r holds its lower entries (the edges with hi = r), its diagonal,
-    # then its upper entries (the edges with lo = r), each part in column
-    # order.  The edge numbers follow (lo, hi), so the upper entries lie in
-    # number order; sorted stably by hi, the lower entries do too.
-    n_lower = np.bincount(hi, minlength=n).astype(np.int32)
-    n_upper = np.bincount(lo, minlength=n).astype(np.int32)
-    lower_end = np.cumsum(n_lower, dtype=np.int32)
-    upper_start = np.cumsum(n_upper, dtype=np.int32) - n_upper
     rows = np.arange(n, dtype=np.int32)
-    diag = lower_end + upper_start + rows
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    indptr[1:] = diag + n_upper + 1
-    indices = np.empty(n + 2 * n_edges, dtype=np.int32)
-    src = np.empty(indices.size, dtype=np.int32)
-    indices[diag], src[diag] = rows, rows
-    number = np.arange(n_edges, dtype=np.int32)
-    upper = number + (lower_end + rows + 1)[lo]
-    indices[upper], src[upper] = hi, number + n
-    by_hi = np.argsort(hi, kind="stable")
-    lower = number + (upper_start + rows)[hi[by_hi]]
-    indices[lower], src[lower] = lo[by_hi], by_hi + n
+    edge_sum = np.arange(n, n + n_edges, dtype=np.int32)
+    pattern = sp.coo_array((np.concatenate([rows, edge_sum, edge_sum]),
+                            (np.concatenate([rows, lo, hi]), np.concatenate([rows, hi, lo]))),
+                           shape=(n, n)).tocsr()
 
     ids = np.empty((dofs.shape[0], 6), dtype=np.int32)
     ids[:, :3] = np.where(dofs < 0, n + n_edges, dofs)
     np.add(free_edge[edge], n, out=ids[:, 3:])  # a constrained edge's number n_edges spills too
-    return indptr, indices, ids, src
+    return pattern.indptr, pattern.indices, ids, pattern.data
 
 
 # The entries (i, j) of an element matrix that _p1_pattern's ids name: the
@@ -279,10 +266,12 @@ def _assemble(mesh: Mesh, dofmap: DofMap, local: Callable) -> sp.csr_array:
     element matrices of the elements in the slice ``block``.  They are
     summed in blocks of ``_INTEGRATE_BLOCK`` elements, so no per-entry
     array spans the whole mesh; each sum adds its terms in element order.
-    Both off-diagonal entries of an edge read one sum, so the matrix is
-    exactly symmetric.  The indices are int32, which halves the index
-    arrays of the matrix and of every node matrix formed from it; SuperLU
-    takes int32 indices too.
+    Each CSR entry then gathers the sum that the pattern's ``src`` names;
+    both off-diagonal entries of an edge read one sum, so the matrix is
+    exactly symmetric.  The matrix keeps the pattern's int32 index arrays
+    from scipy's COO-to-CSR conversion, which halves the index arrays of
+    the matrix and of every node matrix formed from it; SuperLU takes int32
+    indices too.
     """
     _check_dofmap(mesh, dofmap)
     indptr, indices, ids, src = _p1_pattern(mesh, dofmap)

@@ -181,6 +181,8 @@ def run_convergence(spec, gamma: float, hstar_list: Sequence[float], t: float = 
     SolverError message as the row's reason, and the study continues.
     """
     hs = [float(h) for h in hstar_list]
+    if not hs:
+        raise ValueError("hstar_list must not be empty")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("hstar_list must be strictly decreasing")
     if fit_abscissa not in ("N", "h"):

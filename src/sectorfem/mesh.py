@@ -43,7 +43,8 @@ class Mesh:
 
     Attributes
     ----------
-    vertices : (nv, 2) float array, vertex coordinates; vertex 0 is the corner.
+    vertices : (nv, 2) float array, finite vertex coordinates; vertex 0 is the
+        corner.
     triangles : (nt, 3) int array, counter-clockwise vertex triples.
     boundary_edges : tuple of (i, j, tag) with tag one of EDGE_THETA0,
         EDGE_THETA_MAX, EDGE_ARC.
@@ -85,6 +86,11 @@ class Mesh:
             if tag not in _EDGE_TAGS:
                 raise ValueError(f"boundary edge ({i}, {j}) has unknown tag {tag!r}, "
                                  f"not one of {_EDGE_TAGS}")
+        # a NaN area passes the orientation test below, so check first
+        nonfinite = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if nonfinite.size:
+            k = int(nonfinite[0])
+            raise ValueError(f"vertex {k} has non-finite coordinates {self.vertices[k].tolist()}")
         flipped = np.flatnonzero(triangle_areas(self) <= 0)
         if flipped.size:
             k = int(flipped[0])
@@ -439,6 +445,22 @@ def write_mesh(mesh: Mesh, path) -> None:
 _METADATA_KEYS = ["beta", "gamma", "h_star"]
 
 
+def _parse_lines(path, lines, start: int, stop: int, expected: str, kinds) -> list:
+    """The fields of ``lines[start:stop]``, converted by ``kinds``, one per field.
+
+    A line whose fields do not convert one to one raises ValueError naming
+    the file, the line's 1-based number and the ``expected`` fields.
+    """
+    rows = []
+    for k in range(start, stop):
+        try:
+            rows.append([kind(value) for kind, value in zip(kinds, lines[k].split(), strict=True)])
+        except ValueError:
+            raise ValueError(f"mesh file {path} line {k + 1} is {lines[k]!r}, "
+                             f"but should hold '{expected}'") from None
+    return rows
+
+
 def read_mesh(path) -> Mesh:
     """Read a mesh written by :func:`write_mesh`.
 
@@ -446,7 +468,10 @@ def read_mesh(path) -> Mesh:
     ``beta <b> gamma <g> h_star <h>`` that :func:`write_mesh` writes; a
     header without it raises ValueError naming the expected header, and so
     does a file whose line count is not the ``1 + V + T + B`` the header
-    promises.  ``dataclasses.replace`` changes the metadata on the result.
+    promises.  A vertex, triangle or boundary-edge line that does not hold
+    ``x y``, ``i j k`` or ``i j tag`` raises ValueError naming the file and
+    the line number.  ``dataclasses.replace`` changes the metadata on the
+    result.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -459,7 +484,7 @@ def read_mesh(path) -> Mesh:
     if len(lines) != 1 + nv + nt + nb:
         raise ValueError(f"mesh file {path} has {len(lines)} lines, but its header "
                          f"promises 1 + {nv} + {nt} + {nb} = {1 + nv + nt + nb}")
-    verts = np.array([[float(v) for v in line.split()] for line in lines[1:1 + nv]])
-    tris = np.array([[int(v) for v in line.split()] for line in lines[1 + nv:1 + nv + nt]])
-    edges = tuple(line.split() for line in lines[1 + nv + nt:])
+    verts = np.array(_parse_lines(path, lines, 1, 1 + nv, "x y", (float, float)))
+    tris = np.array(_parse_lines(path, lines, 1 + nv, 1 + nv + nt, "i j k", (int, int, int)))
+    edges = _parse_lines(path, lines, 1 + nv + nt, len(lines), "i j tag", (int, int, str))
     return Mesh(verts, tris, edges, beta, gamma, h_star)

@@ -89,11 +89,11 @@ def test_operators_carry_int32_indices_on_one_pattern(assembled_cache):
 
 
 def test_stiffness_assembly_peak_memory(mesh_cache):
-    # 5.9 MB measured at h*=2^-5, gamma=3 (12,187 triangles) with int32
-    # indices; 8.3 MB with int64 ones
+    # 2.2 MB measured at h*=2^-5, gamma=3 (12,187 triangles); the bound is
+    # that peak plus about 25%
     msh = mesh_cache(2 ** -5, 3.0)
     dm = sf.build_dofmap(msh, fem.MIXED)
-    assert traced_peak_mb(lambda: fem.assemble_stiffness(msh, dm, 1.0)) <= 7.4
+    assert traced_peak_mb(lambda: fem.assemble_stiffness(msh, dm, 1.0)) <= 2.9
 
 
 @pytest.fixture(scope="module")
@@ -109,13 +109,13 @@ def finest_operators(mesh_cache):
 # COO arrays the two assemblies peaked at 21.1 and 23.7 MB, and with a
 # sparse sum for z^a M + S one node solve at 12.3 MB.
 def test_mass_assembly_peak_memory_on_the_finest_mesh(finest_operators):
-    msh, dm, _, _ = finest_operators  # 7.1 MB measured
-    assert traced_peak_mb(lambda: fem.assemble_mass(msh, dm)) <= 9.0
+    msh, dm, _, _ = finest_operators  # 5.5 MB measured
+    assert traced_peak_mb(lambda: fem.assemble_mass(msh, dm)) <= 6.9
 
 
 def test_stiffness_assembly_peak_memory_on_the_finest_mesh(finest_operators):
-    msh, dm, _, _ = finest_operators  # 9.3 MB measured
-    assert traced_peak_mb(lambda: fem.assemble_stiffness(msh, dm, 1.0)) <= 11.5
+    msh, dm, _, _ = finest_operators  # 7.7 MB measured
+    assert traced_peak_mb(lambda: fem.assemble_stiffness(msh, dm, 1.0)) <= 9.6
 
 
 def test_node_solve_peak_memory_on_the_finest_mesh(finest_operators):

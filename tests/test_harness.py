@@ -272,6 +272,8 @@ def test_run_convergence_validates_inputs():
         sf.run_convergence(ell, 1.0, [0.125, 0.25])
     with pytest.raises(ValueError):
         sf.run_convergence(ell, 1.0, [0.25, 0.125], fit_abscissa="x")
+    with pytest.raises(ValueError, match="hstar_list must not be empty"):
+        sf.run_convergence(ell, 1.0, [])
 
 
 def conical_rule(n):

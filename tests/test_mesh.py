@@ -526,6 +526,51 @@ def test_read_rejects_a_truncated_file(tmp_path, mesh_cache, keep):
         sf.read_mesh(path)
 
 
+@pytest.mark.parametrize("line, edit, expected", [
+    ("vertex", lambda f: f[:1], "x y"),
+    ("vertex", lambda f: f + ["0.5"], "x y"),
+    ("vertex", lambda f: ["x", f[1]], "x y"),
+    ("triangle", lambda f: [f[0], "1.5", f[2]], "i j k"),
+    ("triangle", lambda f: f[:2], "i j k"),
+    ("boundary_edge", lambda f: f[:2], "i j tag"),
+    ("boundary_edge", lambda f: f + ["extra"], "i j tag"),
+    ("boundary_edge", lambda f: ["one", f[1], f[2]], "i j tag"),
+], ids=["vertex-1-field", "vertex-3-fields", "vertex-not-a-float", "triangle-not-an-int",
+        "triangle-2-fields", "edge-2-fields", "edge-4-fields", "edge-not-an-int"])
+def test_read_names_a_malformed_line(tmp_path, mesh_cache, line, edit, expected):
+    # parsing would otherwise fail on an unpacking, a numpy shape or an
+    # int() message that names neither the file nor the line
+    msh = mesh_cache(2 ** -2, 1.0)
+    path = tmp_path / "mesh.txt"
+    sf.write_mesh(msh, path)
+    lines = path.read_text().splitlines()
+    k = {"vertex": 3, "triangle": 1 + msh.n_vertices + 2, "boundary_edge": len(lines) - 2}[line]
+    lines[k] = " ".join(edit(lines[k].split()))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"mesh file {path} line {k + 1} is "
+                                                   f"{lines[k]!r}, but should hold "
+                                                   f"'{expected}'")):
+        sf.read_mesh(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_mesh_rejects_non_finite_vertices(tmp_path, mesh_cache, value):
+    # a NaN vertex gives NaN areas, which the orientation test would pass
+    msh = mesh_cache(2 ** -2, 1.0)
+    verts = msh.vertices.copy()
+    verts[4, 0] = float(value)
+    named = re.escape(f"vertex 4 has non-finite coordinates {verts[4].tolist()}")
+    with pytest.raises(ValueError, match=named):
+        Mesh(verts, msh.triangles, msh.boundary_edges, msh.beta, msh.gamma, msh.h_star)
+    path = tmp_path / "mesh.txt"
+    sf.write_mesh(msh, path)
+    lines = path.read_text().splitlines()
+    lines[1 + 4] = f"{value} {lines[1 + 4].split()[1]}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=named):
+        sf.read_mesh(path)
+
+
 def test_mesh_rejects_unknown_boundary_tag(tmp_path, mesh_cache):
     # an 'ARC' edge would leave its vertex free in the mixed dof map (29
     # dofs instead of 28) and go into a file that read_mesh refuses
