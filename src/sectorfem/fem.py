@@ -46,9 +46,9 @@ int32 CSR arrays: the diagonal and both entries of each free edge, each
 carrying the number of the sum it reads.  The element matrices are then
 summed per dof and per edge in blocks of ``_INTEGRATE_BLOCK`` elements, so
 no array holds the 9 entries of every element.  M and S carry equal index
-arrays, and :func:`solve_complex_symmetric` forms each contour-node matrix
-``z^a M + S`` as one complex data array on M's index arrays instead of a
-sparse sum.
+arrays, and :func:`solve_complex_symmetric`, which takes only such pairs,
+forms each contour-node matrix ``z^a M + S`` as one complex data array on
+M's index arrays instead of a sparse sum.
 
 Assembled matrices are immutable in practice (never modified after return)
 and each solve factors its own copy, so concurrent solves against shared
@@ -58,14 +58,14 @@ matrices are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, _edge_vectors, triangle_areas
+from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, _edge_vectors, _edge_areas, triangle_areas
 
 DIRICHLET = "dirichlet"
 MIXED = "mixed"
@@ -120,46 +120,42 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class DofMap:
-    """Vertex-to-dof numbering with constrained vertices marked by -1.
+    """The free vertices of a mesh, whose hat functions span the P1 space.
 
-    The free vertices carry the dofs 0..n_dofs-1 in vertex order.
+    ``free`` is a 1-D boolean vertex mask.  The free vertices carry the dofs
+    0..n_dofs-1 in vertex order, so ``vertex_to_dof`` (int64, -1 where
+    constrained) and ``n_dofs`` are derived from it.  Both arrays are read-only.
     """
 
-    vertex_to_dof: np.ndarray
-    n_dofs: int
+    free: np.ndarray
     bc_kind: str
+    vertex_to_dof: np.ndarray = field(init=False, repr=False, compare=False)
+    n_dofs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_to_dof",
-                           np.ascontiguousarray(self.vertex_to_dof, dtype=np.int64))
-        self.vertex_to_dof.setflags(write=False)
-        # Assembly sums element entries by dof number, so the numbering must
-        # be one-to-one; requiring vertex order makes that one comparison.
-        v, n = self.vertex_to_dof, self.n_dofs
-        free = v >= 0
-        bad = (v < -1) | (v >= n)
-        if not bad.any():
-            bad = free & (v != np.cumsum(free) - 1)
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"vertex {k} has dof {v[k]}, but the free vertices must have "
-                             f"the dofs 0..{n - 1} in vertex order, and the others -1")
-        if free.sum() != n:
-            raise ValueError(f"the free vertices have {free.sum()} dofs, but n_dofs is {n}")
+        free = np.array(self.free)
+        if free.dtype != bool or free.ndim != 1:
+            raise ValueError(f"free must be a 1-D boolean vertex mask, got dtype {free.dtype} "
+                             f"and shape {free.shape}")
+        vertex_to_dof = np.where(free, np.cumsum(free, dtype=np.int64) - 1, -1)
+        free.setflags(write=False)
+        vertex_to_dof.setflags(write=False)
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "vertex_to_dof", vertex_to_dof)
+        object.__setattr__(self, "n_dofs", int(free.sum()))
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         """Free-dof coefficients -> per-vertex nodal values (zeros where constrained)."""
         u = np.asarray(u)
         if u.shape[:1] != (self.n_dofs,):
             raise ValueError(f"expected {self.n_dofs} free-dof coefficients, got shape {u.shape}")
-        full = np.zeros(self.vertex_to_dof.shape[0], dtype=u.dtype)
-        free = self.vertex_to_dof >= 0
-        full[free] = u[self.vertex_to_dof[free]]
+        full = np.zeros(self.free.size, dtype=u.dtype)
+        full[self.free] = u
         return full
 
 
 def build_dofmap(mesh: Mesh, bc_kind: str = DIRICHLET) -> DofMap:
-    """Number the free vertices for the requested boundary conditions.
+    """The free vertices for the requested boundary conditions.
 
     ``dirichlet`` constrains every boundary vertex.  ``mixed`` constrains the
     theta=0 radial edge and the arc; vertices strictly inside the theta_max
@@ -167,14 +163,11 @@ def build_dofmap(mesh: Mesh, bc_kind: str = DIRICHLET) -> DofMap:
     """
     if bc_kind not in (DIRICHLET, MIXED):
         raise ValueError(f"unknown bc_kind {bc_kind!r}")
-    constrained = np.zeros(mesh.n_vertices, dtype=bool)
+    free = np.ones(mesh.n_vertices, dtype=bool)
     for i, j, tag in mesh.boundary_edges:
         if bc_kind == DIRICHLET or tag in (EDGE_THETA0, EDGE_ARC):
-            constrained[i] = constrained[j] = True
-    vertex_to_dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    free = np.flatnonzero(~constrained)
-    vertex_to_dof[free] = np.arange(free.size)
-    return DofMap(vertex_to_dof, free.size, bc_kind)
+            free[i] = free[j] = False
+    return DofMap(free, bc_kind)
 
 
 def _check_bc_kind(bc_kind: str, dofmap: DofMap) -> None:
@@ -186,13 +179,13 @@ def _check_bc_kind(bc_kind: str, dofmap: DofMap) -> None:
 
 def unconstrained_dofmap(mesh: Mesh) -> DofMap:
     """Dof map with every vertex free (no boundary conditions applied)."""
-    return DofMap(np.arange(mesh.n_vertices), mesh.n_vertices, "none")
+    return DofMap(np.ones(mesh.n_vertices, dtype=bool), "none")
 
 
 def element_geometry(mesh: Mesh):
     """Per-element areas and constant P1 basis gradients."""
     e = _edge_vectors(mesh)
-    areas = triangle_areas(mesh)
+    areas = _edge_areas(e)
     # grad of barycentric i is the inward normal of the opposite edge / 2A
     grads = np.stack([-e[..., 1], e[..., 0]], axis=2)
     grads /= 2.0 * areas[:, None, None]
@@ -493,24 +486,24 @@ def solve_complex_symmetric(zalpha: complex, mass: sp.sparray, stiffness: sp.spa
                             b: np.ndarray) -> np.ndarray:
     """Solve (zalpha * M + S) x = b for complex symmetric (non-Hermitian) systems.
 
-    The factorization is a general sparse LU with partial pivoting; only the
+    M and S must be CSR arrays on one pattern, as every assembled pair is:
+    the node matrix is then one complex data array on M's index arrays,
+    with no index arrays or complex intermediate of its own.  A pair on two
+    patterns raises ValueError naming both shapes and entry counts.  The
+    factorization is a general sparse LU with partial pivoting; only the
     symmetric pattern is exploited, no Hermitian structure is assumed.
     Residual contract: relative residual <= 1e-10.
     """
     zalpha = complex(zalpha)
     if not np.isfinite(zalpha.real) or not np.isfinite(zalpha.imag):
         raise ValueError(f"non-finite coefficient zalpha = {zalpha}")
-    if (mass.format == stiffness.format == "csr" and mass.shape == stiffness.shape
+    if not (mass.format == stiffness.format == "csr" and mass.shape == stiffness.shape
             and np.array_equal(mass.indptr, stiffness.indptr)
             and np.array_equal(mass.indices, stiffness.indices)):
-        # Every assembled pair shares the P1 pattern, so the node matrix is
-        # one complex data array on M's index arrays, entry for entry what
-        # the sparse sum computes but with no index arrays or complex
-        # intermediate of its own.
-        data = mass.data * zalpha
-        data += stiffness.data
-        node = sp.csr_array((data, mass.indices, mass.indptr), shape=mass.shape)
-    else:
-        node = zalpha * mass + stiffness
+        raise ValueError(f"mass {mass.shape} with {mass.nnz} entries and stiffness "
+                         f"{stiffness.shape} with {stiffness.nnz} entries are not CSR "
+                         "arrays on one pattern")
+    data = mass.data * zalpha
+    data += stiffness.data
+    node = sp.csr_array((data, mass.indices, mass.indptr), shape=mass.shape)
     return _lu_solve(node, np.asarray(b, dtype=complex), "complex symmetric solve")
-

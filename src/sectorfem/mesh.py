@@ -364,11 +364,14 @@ def triangle_origin_distances(mesh: Mesh) -> np.ndarray:
     return d
 
 
+def _edge_areas(e: np.ndarray) -> np.ndarray:
+    """Signed area of every triangle from its :func:`_edge_vectors` ``e``: half of e1 x e2."""
+    return 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
+
+
 def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Signed area of every triangle (positive for CCW orientation), from two edges."""
-    x0, x1, x2 = mesh.vertices[:, 0][mesh.triangles.T]
-    y0, y1, y2 = mesh.vertices[:, 1][mesh.triangles.T]
-    return 0.5 * ((x0 - x2) * (y1 - y0) - (y0 - y2) * (x1 - x0))
+    """Signed area of every triangle (positive for CCW orientation)."""
+    return _edge_areas(_edge_vectors(mesh))
 
 
 def verify_grading(mesh: Mesh) -> GradingReport:
@@ -443,6 +446,7 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 _METADATA_KEYS = ["beta", "gamma", "h_star"]
+_HEADER = "<V> vertices <T> triangles <B> boundary_edges beta <b> gamma <g> h_star <h>"
 
 
 def _parse_lines(path, lines, start: int, stop: int, expected: str, kinds) -> list:
@@ -468,19 +472,18 @@ def read_mesh(path) -> Mesh:
     ``beta <b> gamma <g> h_star <h>`` that :func:`write_mesh` writes; a
     header without it raises ValueError naming the expected header, and so
     does a file whose line count is not the ``1 + V + T + B`` the header
-    promises.  A vertex, triangle or boundary-edge line that does not hold
-    ``x y``, ``i j k`` or ``i j tag`` raises ValueError naming the file and
-    the line number.  ``dataclasses.replace`` changes the metadata on the
-    result.
+    promises.  A header or a vertex, triangle or boundary-edge line whose
+    fields do not convert (to ints and floats, ``x y``, ``i j k`` or ``i j
+    tag``) raises ValueError naming the file and the line number.
+    ``dataclasses.replace`` changes the metadata on the result.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 12 or header[6::2] != _METADATA_KEYS:
-        raise ValueError(f"mesh header {' '.join(header)!r} is not '<V> vertices <T> "
-                         "triangles <B> boundary_edges beta <b> gamma <g> h_star <h>'")
-    nv, nt, nb = int(header[0]), int(header[2]), int(header[4])
-    beta, gamma, h_star = (float(value) for value in header[7::2])
+        raise ValueError(f"mesh header {' '.join(header)!r} is not '{_HEADER}'")
+    (fields,) = _parse_lines(path, lines, 0, 1, _HEADER, (int, str) * 3 + (str, float) * 3)
+    nv, nt, nb, beta, gamma, h_star = fields[0:6:2] + fields[7::2]
     if len(lines) != 1 + nv + nt + nb:
         raise ValueError(f"mesh file {path} has {len(lines)} lines, but its header "
                          f"promises 1 + {nv} + {nt} + {nb} = {1 + nv + nt + nb}")

@@ -1,6 +1,7 @@
 """Assembly exactness, boundary handling, projections and sparse solvers."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -178,22 +179,31 @@ def test_pattern_assembly_matches_coo_reference(h_star, gamma, bc_kind, K, alpha
     assert np.array_equal(A.data, expect.data)
 
 
-@pytest.mark.parametrize("numbering, n_dofs, message", [
-    ("repeated", 4, "vertex 3 has dof 0, "),  # assemble_mass gave a 4x4 matrix with one nonzero
-    ("too_large", 4, "vertex 5 has dof 4, "),  # assembly failed inside scipy's COO checks
-    ("below_minus_one", 4, "vertex 0 has dof -2, "),
-    ("one_dof_missing", 5, "the free vertices have 4 dofs, but n_dofs is 5"),
-    # one-to-one, but the P1 pattern needs the free edges in vertex order
-    ("permuted", 4, "vertex 2 has dof 1, "),
-])
-def test_dofmap_rejects_a_numbering_that_is_not_one_to_one(numbering, n_dofs, message):
-    msh = sf.generate_sector_mesh(BETA, 2 ** -1, 1.0)
-    v = sf.build_dofmap(msh, fem.DIRICHLET).vertex_to_dof  # four free vertices, 2..5
-    bad = {"repeated": np.where(v >= 0, 0, -1), "too_large": np.where(v >= 0, v + 1, -1),
-           "below_minus_one": np.where(v >= 0, v, -2), "one_dof_missing": v,
-           "permuted": v[np.r_[0, 1, 3, 2, 4:v.size]]}[numbering]
-    with pytest.raises(ValueError, match=message):
-        fem.DofMap(bad, n_dofs, fem.DIRICHLET)
+@pytest.mark.parametrize("free, message", [
+    (np.ones(5, dtype=np.int64), "got dtype int64 and shape (5,)"),
+    (np.ones((2, 3), dtype=bool), "got dtype bool and shape (2, 3)"),
+], ids=["int", "2-d"])
+def test_dofmap_rejects_a_mask_that_is_not_1d_boolean(free, message):
+    with pytest.raises(ValueError, match=re.escape(f"free must be a 1-D boolean vertex mask, "
+                                                   f"{message}")):
+        fem.DofMap(free, fem.DIRICHLET)
+
+
+@settings(max_examples=50, deadline=None)
+@given(free=st.lists(st.booleans(), max_size=40).map(lambda bits: np.array(bits, dtype=bool)))
+def test_dofmap_numbers_the_free_vertices_in_vertex_order(free):
+    dm = fem.DofMap(free, fem.DIRICHLET)
+    assert dm.n_dofs == free.sum()
+    assert dm.vertex_to_dof.dtype == np.int64
+    assert np.array_equal(dm.vertex_to_dof[free], np.arange(dm.n_dofs))
+    assert np.all(dm.vertex_to_dof[~free] == -1)
+    u = np.arange(1.0, dm.n_dofs + 1.0)
+    assert np.array_equal(dm.expand(u)[free], u)
+    assert np.all(dm.expand(u)[~free] == 0.0)
+    assert not (dm.free.flags.writeable or dm.vertex_to_dof.flags.writeable)
+    before = free.copy()
+    free[:] = ~free  # the caller's mask is copied, so the map keeps its numbering
+    assert np.array_equal(dm.free, before)
 
 
 def test_mass_row_sums_equal_area(mesh_cache):
@@ -650,10 +660,15 @@ def test_solve_complex_factors_exactly_the_node_matrix(monkeypatch, assembled_ca
 
 
 def test_solve_complex_nonsymmetric_pair_matches_dense_solve():
-    # the solves undo the transpose SuperLU factors, so symmetry is not assumed
+    # the solves undo the transpose SuperLU factors, so symmetry is not
+    # assumed, neither of the values nor of the pattern M and S share
     rng = np.random.default_rng(5)
-    M = sp.csr_array(np.eye(6) + 0.1 * rng.standard_normal((6, 6)))
-    S = sp.csr_array(np.triu(rng.standard_normal((6, 6))) + 6 * np.eye(6))
+    pattern = rng.random((6, 6)) < 0.5
+    np.fill_diagonal(pattern, True)
+    assert not np.array_equal(pattern, pattern.T)
+    M = sp.csr_array(np.where(pattern, np.eye(6) + 0.1 * rng.standard_normal((6, 6)), 0.0))
+    S = sp.csr_array(np.where(pattern, rng.standard_normal((6, 6)) + 6 * np.eye(6), 0.0))
+    assert np.array_equal(M.indptr, S.indptr) and np.array_equal(M.indices, S.indices)
     z = 1.5 - 0.5j
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     x = fem.solve_complex_symmetric(z, M, S, b)
@@ -661,6 +676,16 @@ def test_solve_complex_nonsymmetric_pair_matches_dense_solve():
     assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
     x = fem.solve_real_spd(S, b.real)
     assert np.linalg.norm(x - np.linalg.solve(S.toarray(), b.real)) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("other", ["pattern", "format"])
+def test_solve_complex_rejects_a_pair_on_two_patterns(assembled_cache, other):
+    msh, dm, M, S = assembled_cache(2 ** -2, 1.0, fem.MIXED, 1.0)
+    S = S + sp.eye_array(dm.n_dofs, k=2) if other == "pattern" else S.tocsc()
+    message = (f"mass {M.shape} with {M.nnz} entries and stiffness {S.shape} with {S.nnz} "
+               "entries are not CSR arrays on one pattern")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fem.solve_complex_symmetric(1.0 + 1.0j, M, S, np.ones(dm.n_dofs, dtype=complex))
 
 
 class _CountingLU:

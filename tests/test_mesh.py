@@ -553,6 +553,25 @@ def test_read_names_a_malformed_line(tmp_path, mesh_cache, line, edit, expected)
         sf.read_mesh(path)
 
 
+@pytest.mark.parametrize("field, value", [(0, "x"), (4, "2.5"), (7, "abc")],
+                         ids=["vertex-count", "edge-count", "beta"])
+def test_read_names_a_malformed_header(tmp_path, mesh_cache, field, value):
+    # int() and float() would otherwise fail in their own words, naming
+    # neither the file nor the header line
+    msh = mesh_cache(2 ** -2, 1.0)
+    path = tmp_path / "mesh.txt"
+    sf.write_mesh(msh, path)
+    lines = path.read_text().splitlines()
+    fields = lines[0].split()
+    fields[field] = value
+    lines[0] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    expected = "<V> vertices <T> triangles <B> boundary_edges beta <b> gamma <g> h_star <h>"
+    with pytest.raises(ValueError, match=re.escape(f"mesh file {path} line 1 is {lines[0]!r}, "
+                                                   f"but should hold '{expected}'")):
+        sf.read_mesh(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_mesh_rejects_non_finite_vertices(tmp_path, mesh_cache, value):
     # a NaN vertex gives NaN areas, which the orientation test would pass
