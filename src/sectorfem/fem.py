@@ -19,6 +19,18 @@ is computed after the first solve; one step of iterative refinement runs
 only when it exceeds 1e-10, and the result must then meet 1e-10 or
 SolverError is raised.
 
+SuperLU is reached without importing ``scipy.sparse.linalg``, which would
+also load ``scipy.linalg``, ARPACK/PROPACK and the iterative solvers: about
+8 MB of resident memory, of which this module uses only SuperLU.
+:func:`_load_superlu` loads scipy's extension module
+``scipy.sparse.linalg._dsolve._superlu`` from its file and registers it under
+that name, so a later ``import scipy.sparse.linalg`` reuses it; if the file
+is not where scipy keeps it, the module is imported the ordinary way.
+:func:`_splu` then repeats what ``scipy.sparse.linalg.splu`` does before its
+own ``gstrf`` call and makes the same call, so every factor is the one
+``splu`` returns with these options.  It rests on the keywords of that
+private ``gstrf``; a test checks it against ``splu`` on the installed scipy.
+
 Quadrature near the corner follows one geometric policy,
 :func:`element_quad_points`: every element gets the same tabulated
 symmetric rule, and the elements with a vertex at the re-entrant corner
@@ -57,13 +69,16 @@ matrices are safe.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, _edge_vectors, _edge_areas, triangle_areas
 
@@ -448,6 +463,61 @@ _RESIDUAL_TOL = 1e-10
 _RELAX = 1
 _PANEL_SIZE = 1
 
+_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+
+
+def _load_superlu():
+    """scipy's SuperLU extension module, loaded without the rest of scipy.sparse.linalg.
+
+    A copy already in ``sys.modules`` is reused.  Otherwise the extension
+    file in scipy's ``sparse/linalg/_dsolve`` directory is loaded and
+    registered in ``sys.modules`` under its own name, where a later
+    ``import scipy.sparse.linalg`` finds it, so both share one ``SuperLU``
+    type.  If that directory holds no such file, the module is imported the
+    ordinary way, which imports scipy.sparse.linalg too.
+    """
+    if _SUPERLU in sys.modules:
+        return sys.modules[_SUPERLU]
+    directory = Path(sp.__file__).parent / "linalg" / "_dsolve"
+    finder = importlib.machinery.FileFinder(
+        str(directory),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_SUPERLU)
+    if spec is None:
+        return importlib.import_module(_SUPERLU)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_SUPERLU] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_superlu = _load_superlu()
+
+
+def _splu(A: sp.sparray):
+    """SuperLU factor of the square sparse A, as ``scipy.sparse.linalg.splu`` makes it.
+
+    The options are this module's: minimum-degree ordering on A^T + A in
+    symmetric mode, ``_RELAX`` and ``_PANEL_SIZE``, default pivoting.  As
+    splu does, A is converted to CSC unless it is CSC already, its
+    duplicate entries are summed in place, integer or boolean data are
+    upcast to the smallest floating type that holds them, and the index
+    arrays are cast to C int; a non-square A raises ValueError.
+    """
+    if not (sp.issparse(A) and A.format == "csc"):
+        A = sp.csc_array(A)
+    A.sum_duplicates()
+    if A.dtype.char not in "fdFD":
+        A = A.astype(np.promote_types(A.dtype, np.float32))
+    n, m = A.shape
+    if n != m:
+        raise ValueError("can only factor square matrices")
+    indices, indptr = sp.safely_cast_index_arrays(A, np.intc, "SuperLU")
+    options = dict(ColPerm="MMD_AT_PLUS_A", DiagPivotThresh=None, PanelSize=_PANEL_SIZE,
+                   Relax=_RELAX, SymmetricMode=True)
+    return _superlu.gstrf(n, A.nnz, A.data, indices, indptr, csc_construct_func=sp.csc_array,
+                          ilu=False, options=options)
+
 
 def _lu_solve(A: sp.sparray, b: np.ndarray, context: str) -> np.ndarray:
     """Sparse LU solve of A x = b for A with a symmetric sparsity pattern.
@@ -462,8 +532,7 @@ def _lu_solve(A: sp.sparray, b: np.ndarray, context: str) -> np.ndarray:
         return b.copy()
     A = sp.csr_array(A)
     try:
-        lu = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A", relax=_RELAX,
-                       panel_size=_PANEL_SIZE, options={"SymmetricMode": True})
+        lu = _splu(A.T)
         x = lu.solve(b, trans="T")
         r = b - A @ x
         if np.linalg.norm(r) <= _RESIDUAL_TOL * np.linalg.norm(b):

@@ -15,8 +15,9 @@ whose header carries the generation metadata (beta, gamma, h_star);
 whose line count is not the one its header promises.
 
 Mesh values are checked on construction (indices, boundary tags,
-orientation, conformity), then immutable (vertex/triangle arrays are
-marked read-only) and safe to share across threads.  The conformity check
+orientation, conformity), then immutable (the mesh keeps read-only
+copies of the vertex/triangle arrays, so the caller's stay writeable) and
+safe to share across threads.  The conformity check
 numbers the undirected edges, and the mesh keeps that numbering as
 ``Mesh.triangle_edges`` for the assembly's sparsity pattern.
 """
@@ -65,8 +66,8 @@ class Mesh:
     triangle_edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", np.ascontiguousarray(self.vertices, dtype=float))
-        object.__setattr__(self, "triangles", np.ascontiguousarray(self.triangles, dtype=np.int64))
+        object.__setattr__(self, "vertices", np.array(self.vertices, dtype=float, order="C"))
+        object.__setattr__(self, "triangles", np.array(self.triangles, dtype=np.int64, order="C"))
         object.__setattr__(self, "boundary_edges",
                            tuple((int(i), int(j), str(tag)) for i, j, tag in self.boundary_edges))
         self.vertices.setflags(write=False)

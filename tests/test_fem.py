@@ -1,7 +1,11 @@
 """Assembly exactness, boundary handling, projections and sparse solvers."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -161,14 +165,14 @@ def test_pattern_assembly_matches_coo_reference(h_star, gamma, bc_kind, K, alpha
         # only the order of each entry's sum changed
         assert np.all(np.abs(A.data - ref.data) <= 3 * np.spacing(np.abs(ref.data)))
     factored = []
-    real_splu = spla.splu
+    real_splu = fem._splu
 
-    def splu(A, **kwargs):
+    def splu(A):
         factored.append(A)
-        return real_splu(A, **kwargs)
+        return real_splu(A)
 
     za = complex(make_contour(8, 1.0).nodes[node]) ** alpha
-    with mock.patch.object(fem.spla, "splu", splu):
+    with mock.patch.object(fem, "_splu", splu):
         fem.solve_complex_symmetric(za, M, S, np.ones(dm.n_dofs, dtype=complex))
     # SuperLU gets the CSR node matrix as the CSC arrays of its transpose,
     # formed on M's own index arrays
@@ -643,13 +647,13 @@ def test_solve_real_elliptic_system_matches_default_lu(assembled_cache, gamma):
 def test_solve_complex_factors_exactly_the_node_matrix(monkeypatch, assembled_cache):
     msh, dm, M, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
     factored = []
-    real_splu = spla.splu
+    real_splu = fem._splu
 
-    def splu(A, **kwargs):
+    def splu(A):
         factored.append(A)
-        return real_splu(A, **kwargs)
+        return real_splu(A)
 
-    monkeypatch.setattr(fem.spla, "splu", splu)
+    monkeypatch.setattr(fem, "_splu", splu)
     za = (2.0 + 3.0j) ** 0.5
     fem.solve_complex_symmetric(za, M, S, np.ones(dm.n_dofs, dtype=complex))
     # SuperLU gets the transpose as a CSC view of the CSR sum, bit for bit
@@ -659,16 +663,22 @@ def test_solve_complex_factors_exactly_the_node_matrix(monkeypatch, assembled_ca
     assert np.array_equal(A.T.toarray(), expect.toarray())
 
 
-def test_solve_complex_nonsymmetric_pair_matches_dense_solve():
-    # the solves undo the transpose SuperLU factors, so symmetry is not
-    # assumed, neither of the values nor of the pattern M and S share
-    rng = np.random.default_rng(5)
+def _nonsymmetric_pair(rng):
+    """6x6 CSR M and S on one pattern that is not symmetric, nor are their values."""
     pattern = rng.random((6, 6)) < 0.5
     np.fill_diagonal(pattern, True)
     assert not np.array_equal(pattern, pattern.T)
     M = sp.csr_array(np.where(pattern, np.eye(6) + 0.1 * rng.standard_normal((6, 6)), 0.0))
     S = sp.csr_array(np.where(pattern, rng.standard_normal((6, 6)) + 6 * np.eye(6), 0.0))
     assert np.array_equal(M.indptr, S.indptr) and np.array_equal(M.indices, S.indices)
+    return M, S
+
+
+def test_solve_complex_nonsymmetric_pair_matches_dense_solve():
+    # the solves undo the transpose SuperLU factors, so symmetry is not
+    # assumed, neither of the values nor of the pattern M and S share
+    rng = np.random.default_rng(5)
+    M, S = _nonsymmetric_pair(rng)
     z = 1.5 - 0.5j
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     x = fem.solve_complex_symmetric(z, M, S, b)
@@ -676,6 +686,66 @@ def test_solve_complex_nonsymmetric_pair_matches_dense_solve():
     assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
     x = fem.solve_real_spd(S, b.real)
     assert np.linalg.norm(x - np.linalg.solve(S.toarray(), b.real)) <= 1e-12 * np.linalg.norm(x)
+
+
+def _factor_input(case, assembled_cache):
+    """A fresh CSC matrix of kind ``case`` to factor; splu sums duplicates in place."""
+    if case == "stiffness":  # real SPD, as the elliptic solve factors it
+        _, _, _, S = assembled_cache(2 ** -4, 1.5, fem.DIRICHLET, 1.0)
+        return sp.csc_array(S.T, copy=True)
+    if case == "node":  # a contour-node matrix on M's pattern
+        _, _, M, S = assembled_cache(2 ** -4, 3.0, fem.MIXED, 1.0)
+        za = complex(make_contour(8, 1.0).nodes[3]) ** 0.5
+        return sp.csc_array((M.data * za + S.data, M.indices.copy(), M.indptr.copy()),
+                            shape=M.shape)
+    if case == "nonsymmetric":
+        M, S = _nonsymmetric_pair(np.random.default_rng(5))
+        return sp.csc_array(((1.5 - 0.5j) * M + S).T)
+    _, _, _, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
+    A = sp.csc_array(S.T, copy=True)
+    if case == "duplicates":  # every entry split into two equal halves
+        A = sp.csc_array((np.repeat(A.data / 2, 2), np.repeat(A.indices, 2), 2 * A.indptr),
+                         shape=A.shape)
+        assert not A.has_canonical_format
+    elif case == "int64":
+        A.indices, A.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+        assert A.indices.dtype == A.indptr.dtype == np.int64
+    else:  # integer data
+        A = sp.csc_array(sp.diags_array([-1, 4, -1], offsets=[-1, 0, 1], shape=(7, 7),
+                                        dtype=np.int64))
+        assert A.dtype == np.int64
+    return A
+
+
+@pytest.mark.parametrize("case", ["stiffness", "node", "nonsymmetric", "duplicates",
+                                  "int64", "integer"])
+def test_splu_factors_as_the_public_splu(assembled_cache, case):
+    # fem reaches SuperLU's gstrf without scipy.sparse.linalg; with the same
+    # options it must give splu's factor, on the scipy that is installed
+    def public_splu(A):
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=fem._RELAX,
+                         panel_size=fem._PANEL_SIZE, options={"SymmetricMode": True})
+
+    ours = fem._splu(_factor_input(case, assembled_cache))
+    ref = public_splu(_factor_input(case, assembled_cache))
+    assert type(ours) is type(ref) is spla.SuperLU
+    assert ours.L.nnz + ours.U.nnz == ref.L.nnz + ref.U.nnz
+    assert np.array_equal(ours.perm_c, ref.perm_c) and np.array_equal(ours.perm_r, ref.perm_r)
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal(ref.shape[0])
+    if ref.L.dtype.kind == "c":
+        b = b + 1j * rng.standard_normal(b.size)
+    for trans in "NT":
+        x = ours.solve(b, trans=trans)
+        assert x.dtype == ref.L.dtype and np.array_equal(x, ref.solve(b, trans=trans))
+
+
+def test_splu_refuses_a_non_square_matrix():
+    A = sp.csc_array(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="can only factor square matrices"):
+        spla.splu(A)
+    with pytest.raises(ValueError, match="can only factor square matrices"):
+        fem._splu(A)
 
 
 @pytest.mark.parametrize("other", ["pattern", "format"])
@@ -703,13 +773,13 @@ class _CountingLU:
 def _spoil_splu(monkeypatch, spoil):
     """Route fem's SuperLU factorizations through _CountingLU; returns the list of proxies."""
     made = []
-    real_splu = spla.splu
+    real_splu = fem._splu
 
-    def splu(A, **kwargs):
-        made.append(_CountingLU(real_splu(A, **kwargs), spoil))
+    def splu(A):
+        made.append(_CountingLU(real_splu(A), spoil))
         return made[-1]
 
-    monkeypatch.setattr(fem.spla, "splu", splu)
+    monkeypatch.setattr(fem, "_splu", splu)
     return made
 
 
@@ -735,6 +805,64 @@ def test_project_raises_when_refinement_misses_contract(monkeypatch, mesh_cache)
         fem.l2_project(msh, dm, sf.example2(0.5).u0)
     assert made[0].solves == 2
     assert info.value.residual > 1e-10
+
+
+# Run in a fresh interpreter, as conftest imports scipy.sparse.linalg before
+# sectorfem: one Example 2 solve, then the modules it loaded and whether a
+# later import of scipy.sparse.linalg shares fem's SuperLU.  With a last
+# argument, scipy.sparse claims that path as its file, so the loader finds
+# no extension where it looks and must fall back to the ordinary import.
+_FOOTPRINT_SCRIPT = """
+import json, sys
+import numpy as np
+import scipy.sparse
+if len(sys.argv) > 2:
+    scipy.sparse.__file__ = sys.argv[2]
+import sectorfem as sf
+from sectorfem import fem
+spec = sf.example2(0.5)
+msh = sf.generate_sector_mesh(spec.beta, 2 ** -3, 3.0)
+uh, _ = sf.solve_spec(spec, msh, sf.build_dofmap(msh, spec.bc_kind))
+np.save(sys.argv[1], uh)
+loaded = [name for name in ("scipy.sparse.linalg", "scipy.linalg") if name in sys.modules]
+import scipy.sparse.linalg as spla
+shared = (fem._superlu is sys.modules[fem._SUPERLU] and fem._superlu.SuperLU is spla.SuperLU
+          and type(fem._splu(scipy.sparse.eye_array(3, format="csc"))) is spla.SuperLU)
+print(json.dumps({"loaded": loaded, "shared": shared}))
+"""
+
+
+def _footprint_run(tmp_path, *fallback):
+    """Run _FOOTPRINT_SCRIPT in a fresh process; returns its report and its solution."""
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "uh.npy"
+    run = subprocess.run([sys.executable, "-W", "error", "-c", _FOOTPRINT_SCRIPT, str(out),
+                          *fallback], env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    return json.loads(run.stdout), np.load(out)
+
+
+def _example2_coarse_solution():
+    spec = sf.example2(0.5)
+    msh = sf.generate_sector_mesh(spec.beta, 2 ** -3, 3.0)
+    return sf.solve_spec(spec, msh, sf.build_dofmap(msh, spec.bc_kind))[0]
+
+
+def test_import_and_solve_leave_scipy_sparse_linalg_unloaded(tmp_path):
+    report, uh = _footprint_run(tmp_path)
+    assert report == {"loaded": [], "shared": True}
+    expect = _example2_coarse_solution()
+    assert uh.dtype == expect.dtype and np.array_equal(uh, expect)
+
+
+def test_superlu_falls_back_to_the_ordinary_import(tmp_path):
+    moved = tmp_path / "moved" / "sparse" / "__init__.py"
+    report, uh = _footprint_run(tmp_path, str(moved))
+    assert report["shared"] and "scipy.sparse.linalg" in report["loaded"]
+    expect = _example2_coarse_solution()
+    assert uh.dtype == expect.dtype and np.array_equal(uh, expect)
 
 
 def test_solver_error_carries_residual():

@@ -102,6 +102,17 @@ def test_triangle_edges_is_derived_not_a_field_to_set():
     assert (f.init, f.repr, f.compare) == (False, False, False)
 
 
+def test_mesh_freezes_copies_not_the_callers_arrays(mesh_cache):
+    src = mesh_cache(2 ** -3, 1.5)
+    v, t = src.vertices.copy(), src.triangles.copy()
+    msh = Mesh(v, t, src.boundary_edges, src.beta, src.gamma, src.h_star)
+    assert v.flags.writeable and t.flags.writeable
+    assert not msh.vertices.flags.writeable and not msh.triangles.flags.writeable
+    v[0, 0], t[0, 0] = 5.0, 1
+    assert np.array_equal(msh.vertices, src.vertices)
+    assert np.array_equal(msh.triangles, src.triangles)
+
+
 def test_generate_peak_memory_on_the_finest_mesh():
     # 8.4-8.8 MB measured on the finest acceptance-6 mesh (48,450 triangles)
     # while the conformity check counted edges with np.unique; 6.6 MB with
