@@ -359,13 +359,15 @@ def test_evolve_doubling_m_contracts_difference(mixed_system):
     assert np.linalg.norm(U8 - U4) >= 1e3 * np.linalg.norm(U16 - U8)
 
 
-def test_evolve_stability_in_l2(mixed_system):
-    spec, msh, dm, M, S = mixed_system
-    u0h = fem.l2_project(msh, dm, spec.u0)
-    n0 = mass_norm(M, u0h)
-    for t in (0.1, 1.0, 5.0):
-        U = inverse_laplace_evolve(spec, msh, dm, M, S, t, 8)
-        assert mass_norm(M, U) <= n0 + 1e-5
+@pytest.mark.parametrize("alpha", (0.05, 0.5, 0.95))
+@pytest.mark.parametrize("t", (0.01, 0.1, 1.0, 5.0, 100.0))
+def test_evolve_stability_in_l2(mixed_system, alpha, t):
+    # Example 2's K does not depend on alpha, so its operators serve every alpha
+    _, msh, dm, M, S = mixed_system
+    spec = sf.example2(alpha)
+    n0 = mass_norm(M, fem.l2_project(msh, dm, spec.u0))
+    U = inverse_laplace_evolve(spec, msh, dm, M, S, t, 8)
+    assert mass_norm(M, U) <= n0 + 1e-5
 
 
 def test_evolve_quadrature_decay_rate(mixed_system):

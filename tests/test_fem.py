@@ -824,7 +824,8 @@ spec = sf.example2(0.5)
 msh = sf.generate_sector_mesh(spec.beta, 2 ** -3, 3.0)
 uh, _ = sf.solve_spec(spec, msh, sf.build_dofmap(msh, spec.bc_kind))
 np.save(sys.argv[1], uh)
-loaded = [name for name in ("scipy.sparse.linalg", "scipy.linalg") if name in sys.modules]
+loaded = [name for name in ("scipy.sparse.linalg", "scipy.linalg", "scipy.special",
+                            "scipy.optimize") if name in sys.modules]
 import scipy.sparse.linalg as spla
 shared = (fem._superlu is sys.modules[fem._SUPERLU] and fem._superlu.SuperLU is spla.SuperLU
           and type(fem._splu(scipy.sparse.eye_array(3, format="csc"))) is spla.SuperLU)
