@@ -8,10 +8,10 @@ error decays like ``10.1315**-M`` in the node half-count M.  Because the
 transformed data are real, ``uhat(conj z) = conj(uhat(z))`` and the sum
 over j = -M..M folds onto j = 0..M, costing M+1 solves instead of 2M+1.
 
-Every load vector comes from ``fem.assemble_load``.  A separable source
-``sum_k c_k(z) f_k`` is loaded once per evolve: each distinct field f_k
-gives one load vector b_k, and each node's right-hand side is
-``z**(alpha-1) * (b0 + sum_k c_k(z) b_k)`` with b0 the load vector of u0.
+Each node z solves ``(z**alpha M + S) uhat = z**(alpha-1) * (b0 + b(z))``,
+the paper's node equation, in one ``fem.solve_complex_symmetric`` call;
+b0 = M u0h is the load vector of u0 and b(z) that of the transformed
+source, both from ``fem.assemble_load``.
 """
 
 from __future__ import annotations
@@ -88,40 +88,28 @@ def laplace_invert_scalar(fhat: Callable[[complex], complex], t: float, M: int =
     return float(fold_terms(params, terms))
 
 
-def _node_solve(z: complex, alpha: float, mass, stiffness, b0: np.ndarray,
-                source_load: Callable[[complex], np.ndarray] | None) -> np.ndarray:
-    """Solve ``(z**alpha M + S) uhat = z**(alpha-1) * (b0 + b(z))`` at one node.
+def _node_rhs(problem, mesh, dofmap) -> Callable[[complex], np.ndarray]:
+    """The node right-hand side ``z -> z**(alpha-1) * (b0 + b(z))``, on the principal branch.
 
-    ``b0`` is the load vector of u0 and ``source_load(z)`` that of the
-    transformed source, or None for a homogeneous problem.  ``z**alpha``
-    uses the principal branch.
+    b0 is the load vector of u0 and b(z) that of the source, if any.  A
+    separable source has each distinct field loaded here, once (a field that
+    is u0 reuses b0), so b(z) only sums ``c_k(z) b_k``; a plain ``fhat``
+    callable is loaded at each node.
     """
-    z = complex(z)
-    rhs = b0 if source_load is None else b0 + source_load(z)
-    rhs = z ** (alpha - 1.0) * rhs
-    return fem.solve_complex_symmetric(z ** alpha, mass, stiffness, rhs)
-
-
-def _load_vectors(problem, mesh, dofmap):
-    """The u0 load vector and, for a problem with a source, the loader ``z -> b(z)``.
-
-    A separable source has each distinct field loaded here, once, and a
-    field that is u0 itself reuses its vector; the loader then only sums
-    ``c_k(z) b_k``.  A plain ``fhat`` callable is loaded at each node.
-    """
+    alpha = problem.alpha
     b0 = fem.assemble_load(mesh, dofmap, problem.u0)
     fhat = problem.fhat
     if fhat is None:
-        return b0, None
+        return lambda z: z ** (alpha - 1.0) * b0
     terms = getattr(fhat, "terms", None)  # a problems.SeparableSource
     if terms is None:
-        return b0, lambda z: fem.assemble_load(mesh, dofmap, fhat(z))
+        return lambda z: z ** (alpha - 1.0) * (b0 + fem.assemble_load(mesh, dofmap, fhat(z)))
     loaded = {id(problem.u0): b0}
     for _, f in terms:
         if id(f) not in loaded:
             loaded[id(f)] = fem.assemble_load(mesh, dofmap, f)
     vectors = [(c, loaded[id(f)]) for c, f in terms]
-    return b0, lambda z: sum(c(z) * b for c, b in vectors)
+    return lambda z: z ** (alpha - 1.0) * (b0 + sum(c(z) * b for c, b in vectors))
 
 
 def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
@@ -145,11 +133,12 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
         raise ValueError(f"mass {mass.shape} and stiffness {stiffness.shape} must both be "
                          f"{(dofmap.n_dofs,) * 2}, the size of the dof map")
     params = make_contour(M, t)
-    b0, source_load = _load_vectors(problem, mesh, dofmap)
+    rhs = _node_rhs(problem, mesh, dofmap)
     terms = np.empty((M + 1, dofmap.n_dofs), dtype=complex)
     for j, (z, dz) in enumerate(zip(params.nodes, params.dnodes)):
+        z = complex(z)
         try:
-            uhat = _node_solve(z, problem.alpha, mass, stiffness, b0, source_load)
+            uhat = fem.solve_complex_symmetric(z ** problem.alpha, mass, stiffness, rhs(z))
         except fem.SolverError as exc:
             raise fem.SolverError(f"contour node j={j} (z={z:.6g}): {exc}",
                                   exc.residual) from exc

@@ -41,7 +41,8 @@ of the mesh.  This module owns the degrees of the two rules the scheme
 needs: ``_LOAD_DEGREE`` (4) for load vectors and ``_ERROR_DEGREE`` (6) for
 the error norms.
 Both mesh integrals the scheme needs run on one blocked loop over that
-quadrature: :func:`assemble_load` builds load vectors on it, and
+quadrature: :func:`assemble_load` builds load vectors on it, summed over
+all vertices and then restricted to the free ones by ``DofMap.free``, and
 :func:`integrate` scalar integrals (the error norms in ``harness``).  Each
 evaluates and reduces its field on blocks of at most ``_INTEGRATE_BLOCK``
 elements of a quadrature group, so no array of quadrature points spans a
@@ -51,11 +52,12 @@ Every quadrature-point and reduction kernel is a single 2-D matrix
 product, which BLAS runs far faster than the equivalent three-operand
 einsum.
 
-Mass and stiffness go onto one P1 pattern.  :func:`_p1_pattern` reads the
-edges from ``Mesh.triangle_edges``, numbered once per mesh, keeps those
-between two free dofs, and lets scipy's COO-to-CSR conversion lay out the
-int32 CSR arrays: the diagonal and both entries of each free edge, each
-carrying the number of the sum it reads.  The element matrices are then
+Mass and stiffness go onto one P1 pattern.  :func:`_p1_pattern`, the one
+place the free vertices are numbered, reads the edges from
+``Mesh.triangle_edges``, numbered once per mesh, keeps those between two
+free dofs, and lets scipy's COO-to-CSR conversion lay out the int32 CSR
+arrays: the diagonal and both entries of each free edge, each carrying
+the number of the sum it reads.  The element matrices are then
 summed per dof and per edge in blocks of ``_INTEGRATE_BLOCK`` elements, so
 no array holds the 9 entries of every element.  M and S carry equal index
 arrays, and :func:`solve_complex_symmetric`, which takes only such pairs,
@@ -137,14 +139,14 @@ class SolverError(RuntimeError):
 class DofMap:
     """The free vertices of a mesh, whose hat functions span the P1 space.
 
-    ``free`` is a 1-D boolean vertex mask.  The free vertices carry the dofs
-    0..n_dofs-1 in vertex order, so ``vertex_to_dof`` (int64, -1 where
-    constrained) and ``n_dofs`` are derived from it.  Both arrays are read-only.
+    ``free`` is a 1-D boolean vertex mask, read-only.  The free vertices
+    carry the dofs 0..n_dofs-1 in vertex order, so a vector over the dofs is
+    a vertex vector restricted by ``free`` (``v[free]``), and
+    :meth:`expand` undoes that restriction.
     """
 
     free: np.ndarray
     bc_kind: str
-    vertex_to_dof: np.ndarray = field(init=False, repr=False, compare=False)
     n_dofs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -152,17 +154,14 @@ class DofMap:
         if free.dtype != bool or free.ndim != 1:
             raise ValueError(f"free must be a 1-D boolean vertex mask, got dtype {free.dtype} "
                              f"and shape {free.shape}")
-        vertex_to_dof = np.where(free, np.cumsum(free, dtype=np.int64) - 1, -1)
         free.setflags(write=False)
-        vertex_to_dof.setflags(write=False)
         object.__setattr__(self, "free", free)
-        object.__setattr__(self, "vertex_to_dof", vertex_to_dof)
         object.__setattr__(self, "n_dofs", int(free.sum()))
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         """Free-dof coefficients -> per-vertex nodal values (zeros where constrained)."""
         u = np.asarray(u)
-        if u.shape[:1] != (self.n_dofs,):
+        if u.shape != (self.n_dofs,):
             raise ValueError(f"expected {self.n_dofs} free-dof coefficients, got shape {u.shape}")
         full = np.zeros(self.free.size, dtype=u.dtype)
         full[self.free] = u
@@ -207,16 +206,10 @@ def element_geometry(mesh: Mesh):
     return areas, grads
 
 
-def quad_points(mesh: Mesh, ids: np.ndarray, pts: np.ndarray):
-    """Coordinates (x, y), each (e, q), of barycentric points ``pts`` (q, 3) on elements ``ids``."""
-    tri = mesh.triangles[ids]
-    return mesh.vertices[tri, 0] @ pts.T, mesh.vertices[tri, 1] @ pts.T
-
-
 def _check_dofmap(mesh: Mesh, dofmap: DofMap) -> None:
     """Raise ValueError unless ``dofmap`` numbers the vertices of ``mesh``."""
-    if dofmap.vertex_to_dof.size != mesh.n_vertices:
-        raise ValueError(f"dof map numbers {dofmap.vertex_to_dof.size} vertices, "
+    if dofmap.free.size != mesh.n_vertices:
+        raise ValueError(f"dof map numbers {dofmap.free.size} vertices, "
                          f"but the mesh has {mesh.n_vertices}")
 
 
@@ -238,7 +231,7 @@ def _p1_pattern(mesh: Mesh, dofmap: DofMap):
     the free edges may arrive in any order.
     """
     n = dofmap.n_dofs
-    dofs = dofmap.vertex_to_dof.astype(np.int32)[mesh.triangles]
+    dofs = np.where(dofmap.free, np.cumsum(dofmap.free, dtype=np.int32) - 1, -1)[mesh.triangles]
     edge = mesh.triangle_edges
     # each mesh edge's end dofs (-1 if constrained)
     a, b = dofs[:, [1, 2, 0]], dofs[:, [2, 0, 1]]
@@ -390,12 +383,13 @@ _ERROR_DEGREE = 6  # degree of the rule of every integrate call (the error norms
 def _blocks(mesh: Mesh, ids: np.ndarray, pts: np.ndarray):
     """``(block, x, y)`` for consecutive runs of ``_INTEGRATE_BLOCK`` elements of ``ids``.
 
-    x, y (e, q) are the coordinates of the barycentric points ``pts`` on
-    the block's elements.
+    x, y (e, q) are the coordinates of the barycentric points ``pts`` (q, 3)
+    on the block's elements.
     """
     for start in range(0, ids.size, _INTEGRATE_BLOCK):
         block = ids[start:start + _INTEGRATE_BLOCK]
-        yield (block, *quad_points(mesh, block, pts))
+        tri = mesh.triangles[block]
+        yield block, mesh.vertices[tri, 0] @ pts.T, mesh.vertices[tri, 1] @ pts.T
 
 
 def integrate(mesh: Mesh, integrand: Callable) -> float:
@@ -423,12 +417,12 @@ def assemble_load(mesh: Mesh, dofmap: DofMap, g: Callable) -> np.ndarray:
     arrays; complex-valued fields give a complex load vector.  Non-finite
     evaluations raise ValueError with the offending location.  The field is
     evaluated and reduced on the blocks :func:`integrate` uses, and each
-    block's element vectors are added into the result in element order.
+    block's element vectors are added into a vector over all vertices in
+    element order; the load vector is its restriction to the free vertices.
     """
     areas = triangle_areas(mesh)
     _check_dofmap(mesh, dofmap)
-    dofs = dofmap.vertex_to_dof[mesh.triangles]
-    out = np.zeros(dofmap.n_dofs)
+    out = np.zeros(mesh.n_vertices)
     for ids, pts, w in element_quad_points(mesh, _LOAD_DEGREE):
         wpts = w[:, None] * pts
         for block, x, y in _blocks(mesh, ids, pts):
@@ -437,10 +431,8 @@ def assemble_load(mesh: Mesh, dofmap: DofMap, g: Callable) -> np.ndarray:
                 out = out.astype(complex)
             # b_e[i] = area * sum_q w_q g(x_q) lambda_i(x_q)
             be = areas[block, None] * (vals @ wpts)
-            d = dofs[block].ravel()
-            keep = d >= 0
-            np.add.at(out, d[keep], be.ravel()[keep])
-    return out
+            np.add.at(out, mesh.triangles[block].ravel(), be.ravel())
+    return out[dofmap.free]
 
 
 def l2_project(mesh: Mesh, dofmap: DofMap, u0: Callable) -> np.ndarray:

@@ -65,7 +65,9 @@ class ProblemSpec:
     the transformed source as a pointwise (complex) field, or is None for a
     homogeneous problem, and ``exact(x, y, t)`` evaluates the solution.
     The parameters are checked on construction, ``dataclasses.replace``
-    included.
+    included, but ``replace`` does not rebuild a builder's fields, which
+    close over its alpha, beta and K: a replaced one silently decouples the
+    solve from ``exact``.  Call the builder again for another alpha.
     """
 
     label: str

@@ -11,9 +11,15 @@ from hypothesis import strategies as st
 
 import sectorfem as sf
 from sectorfem import fem
-from sectorfem.contour import (DELTA, _node_solve, fold_terms, inverse_laplace_evolve,
-                               laplace_invert_scalar, make_contour)
+from sectorfem.contour import (DELTA, fold_terms, inverse_laplace_evolve, laplace_invert_scalar,
+                               make_contour)
 from conftest import mass_norm, smallest_eigenpairs
+
+
+def node_solve(z, alpha, M, S, b):
+    """Solve the node equation (z^alpha M + S) uhat = z^(alpha-1) b."""
+    z = complex(z)
+    return fem.solve_complex_symmetric(z ** alpha, M, S, z ** (alpha - 1.0) * b)
 
 
 def test_contour_constants_m8_t1():
@@ -110,7 +116,7 @@ def test_uhat_eigenvector_identity(mixed_system):
     lam, vecs = smallest_eigenpairs(S, M, k=1)
     phi = vecs[:, 0]
     z = make_contour(8, 1.0).nodes[3]
-    got = _node_solve(z, spec.alpha, M, S, M @ phi, None)
+    got = node_solve(z, spec.alpha, M, S, M @ phi)
     expect = z ** (spec.alpha - 1.0) / (z ** spec.alpha + lam[0]) * phi
     assert np.max(np.abs(got - expect)) < 1e-8
 
@@ -118,7 +124,7 @@ def test_uhat_eigenvector_identity(mixed_system):
 def test_uhat_real_node_real_data(mixed_system):
     spec, msh, dm, M, S = mixed_system
     u0h = fem.l2_project(msh, dm, spec.u0)
-    got = _node_solve(5.0, spec.alpha, M, S, M @ u0h, None)
+    got = node_solve(5.0, spec.alpha, M, S, M @ u0h)
     assert np.max(np.abs(got.imag)) < 1e-12
 
 
@@ -130,7 +136,7 @@ def test_uhat_residuals_on_all_nodes(mixed_system):
     for alpha in (0.05, 0.5, 0.95):
         for t in (0.01, 1.0, 100.0):
             for z in make_contour(8, t).nodes:
-                uhat = _node_solve(z, alpha, M, S, M @ u0h, None)
+                uhat = node_solve(z, alpha, M, S, M @ u0h)
                 A = z ** alpha * M + S
                 rhs = z ** (alpha - 1.0) * (M @ u0h.astype(complex))
                 res = np.linalg.norm(A @ uhat - rhs) / np.linalg.norm(rhs)
@@ -145,7 +151,7 @@ def test_evolve_eigenvector_decays_by_mittag_leffler(mixed_system):
     params = make_contour(8, t)
     terms = np.empty((9, dm.n_dofs), dtype=complex)
     for j, (z, dz) in enumerate(zip(params.nodes, params.dnodes)):
-        terms[j] = np.exp(z * t) * _node_solve(z, spec.alpha, M, S, M @ phi, None) * dz
+        terms[j] = np.exp(z * t) * node_solve(z, spec.alpha, M, S, M @ phi) * dz
     got = fold_terms(params, terms)
     expect = sf.mittag_leffler_neg(spec.alpha, lam[0] * t ** spec.alpha) * phi
     assert np.max(np.abs(got - expect)) < 1e-6
@@ -339,12 +345,14 @@ def test_evolve_matches_projection_reference(request, system):
     spec, msh, dm, M, S = request.getfixturevalue(system)
     t = 0.7
     u0h = fem.l2_project(msh, dm, spec.u0)
-    source_load = None
-    if spec.fhat is not None:
-        def source_load(z):
-            return fem.assemble_load(msh, dm, spec.fhat(z))
+
+    def load(z):
+        if spec.fhat is None:
+            return M @ u0h
+        return M @ u0h + fem.assemble_load(msh, dm, spec.fhat(z))
+
     params = make_contour(8, t)
-    terms = np.array([np.exp(z * t) * _node_solve(z, spec.alpha, M, S, M @ u0h, source_load) * dz
+    terms = np.array([np.exp(z * t) * node_solve(z, spec.alpha, M, S, load(z)) * dz
                       for z, dz in zip(params.nodes, params.dnodes)])
     ref = fold_terms(params, terms)
     got = inverse_laplace_evolve(spec, msh, dm, M, S, t, 8)

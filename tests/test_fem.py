@@ -129,13 +129,18 @@ def test_node_solve_peak_memory_on_the_finest_mesh(finest_operators):
     assert traced_peak_mb(lambda: fem.solve_complex_symmetric((2.0 + 3.0j) ** 0.5, M, S, b)) <= 4.6
 
 
+def free_vertex_dofs(dofmap):
+    """Each vertex's dof: the free vertices numbered in vertex order, -1 where constrained."""
+    return np.where(dofmap.free, np.cumsum(dofmap.free) - 1, -1)
+
+
 def scatter_coo_reference(mesh, dofmap, local):
     """COO reference for ``fem._assemble``: scatter all element matrices at once.
 
     ``local`` (nt, 3, 3) holds every element matrix; the entries of
     constrained vertices are dropped and duplicates summed by scipy.
     """
-    dofs = dofmap.vertex_to_dof[mesh.triangles].astype(np.int32)
+    dofs = free_vertex_dofs(dofmap)[mesh.triangles].astype(np.int32)
     rows = np.repeat(dofs, 3, axis=1).ravel()
     cols = np.tile(dofs, (1, 3)).ravel()
     vals = local.ravel()
@@ -198,16 +203,18 @@ def test_dofmap_rejects_a_mask_that_is_not_1d_boolean(free, message):
 def test_dofmap_numbers_the_free_vertices_in_vertex_order(free):
     dm = fem.DofMap(free, fem.DIRICHLET)
     assert dm.n_dofs == free.sum()
-    assert dm.vertex_to_dof.dtype == np.int64
-    assert np.array_equal(dm.vertex_to_dof[free], np.arange(dm.n_dofs))
-    assert np.all(dm.vertex_to_dof[~free] == -1)
     u = np.arange(1.0, dm.n_dofs + 1.0)
     assert np.array_equal(dm.expand(u)[free], u)
     assert np.all(dm.expand(u)[~free] == 0.0)
-    assert not (dm.free.flags.writeable or dm.vertex_to_dof.flags.writeable)
+    assert not dm.free.flags.writeable
     before = free.copy()
     free[:] = ~free  # the caller's mask is copied, so the map keeps its numbering
     assert np.array_equal(dm.free, before)
+
+
+def test_build_dofmap_rejects_an_unknown_bc_kind(mesh_cache):
+    with pytest.raises(ValueError, match="unknown bc_kind 'neumann'"):
+        sf.build_dofmap(mesh_cache(2 ** -2, 1.0), "neumann")
 
 
 def test_mass_row_sums_equal_area(mesh_cache):
@@ -245,7 +252,7 @@ def test_dofmap_dirichlet_constrains_all_boundary(mesh_cache):
     msh = mesh_cache(2 ** -4, 1.5)
     dm = sf.build_dofmap(msh, fem.DIRICHLET)
     boundary = {v for i, j, _ in msh.boundary_edges for v in (i, j)}
-    assert all(dm.vertex_to_dof[v] == -1 for v in boundary)
+    assert not any(dm.free[v] for v in boundary)
     assert dm.n_dofs == msh.n_vertices - len(boundary)
 
 
@@ -257,8 +264,8 @@ def test_dofmap_mixed_frees_theta_max_interior(mesh_cache):
     neumann_only = {v for i, j, tag in msh.boundary_edges if tag == EDGE_THETA_MAX
                     for v in (i, j)} - constrained
     assert neumann_only, "theta_max edge should contribute free vertices"
-    assert all(dm.vertex_to_dof[v] >= 0 for v in neumann_only)
-    assert all(dm.vertex_to_dof[v] == -1 for v in constrained)
+    assert all(dm.free[v] for v in neumann_only)
+    assert not any(dm.free[v] for v in constrained)
 
 
 def test_load_constant_field_sums_to_area(mesh_cache):
@@ -412,7 +419,7 @@ def test_element_quad_points_split_corner_elements_stay_exact(degree):
     for ids, pts, w, exact in ((plain_ids, plain_pts, plain_w, upper_triangle_monomial),
                                (corner_ids, corner_pts, corner_w,
                                 reference_triangle_monomial)):
-        x, y = fem.quad_points(msh, ids, pts)
+        ((_, x, y),) = fem._blocks(msh, ids, pts)
         assert_monomials_exact(x[0], y[0], w, 0.5, exact, degree)
 
 
@@ -420,7 +427,7 @@ def reference_load(msh, dm, g, degree):
     """Three-operand einsum load assembly on whole groups, the reference for assemble_load."""
     coords = msh.vertices[msh.triangles]
     areas = triangle_areas(msh)
-    dofs = dm.vertex_to_dof[msh.triangles]
+    dofs = free_vertex_dofs(dm)[msh.triangles]
     out = np.zeros(dm.n_dofs, dtype=complex)
     for ids, pts, w in fem.element_quad_points(msh, degree):
         xq = np.einsum("qb,ebd->eqd", pts, coords[ids])
@@ -560,6 +567,19 @@ def test_solve_real_spd_random_spd_recovery():
     x_true = rng.standard_normal(50)
     x = fem.solve_real_spd(A, A @ x_true)
     assert np.max(np.abs(x - x_true)) < 1e-8
+
+
+def test_solve_real_spd_of_an_empty_system_is_empty():
+    x = fem.solve_real_spd(sp.csr_array((0, 0)), np.zeros(0))
+    assert x.shape == (0,) and x.dtype == np.float64
+
+
+@pytest.mark.parametrize("zalpha", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_solve_complex_rejects_a_non_finite_coefficient(zalpha):
+    M = sp.csr_array(np.eye(2))
+    with pytest.raises(ValueError, match=re.escape(f"non-finite coefficient zalpha = "
+                                                   f"{complex(zalpha)}")):
+        fem.solve_complex_symmetric(zalpha, M, M, np.ones(2, dtype=complex))
 
 
 def test_solve_complex_zero_coefficient_reduces_to_real(assembled_cache):

@@ -47,8 +47,11 @@ def test_l2_error_requires_matching_size(mesh_cache):
 def test_l2_error_rejects_vertex_values_with_a_dofmap(mesh_cache):
     msh = mesh_cache(2 ** -3, 1.0)
     dm = sf.build_dofmap(msh, fem.DIRICHLET)
-    with pytest.raises(ValueError, match=f"expected {dm.n_dofs} free-dof coefficients"):
-        sf.l2_error(msh, dm, np.zeros(msh.n_vertices), lambda x, y: x)
+    # a (n_dofs, 2) array has the right length but not the shape of a coefficient vector
+    for uh in (np.zeros(msh.n_vertices), np.zeros((dm.n_dofs, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"expected {dm.n_dofs} free-dof "
+                                                       f"coefficients, got shape {uh.shape}")):
+            sf.l2_error(msh, dm, uh, lambda x, y: x)
 
 
 @pytest.mark.parametrize("spec, wrong", [
@@ -100,7 +103,7 @@ def test_error_integrals_match_einsum_reference(mesh_cache):
     ell = sf.elliptic_singular()
     msh = mesh_cache(2 ** -4, 3.0)
     dm = sf.build_dofmap(msh, fem.DIRICHLET)
-    uh = ell.exact(*msh.vertices[dm.vertex_to_dof >= 0].T) * 1.01
+    uh = ell.exact(*msh.vertices[dm.free].T) * 1.01
     values = dm.expand(uh)
     coords = msh.vertices[msh.triangles]
     areas, grads = fem.element_geometry(msh)
@@ -129,7 +132,7 @@ def test_integrate_does_not_depend_on_block_size(monkeypatch, mesh_cache, block)
     ell = sf.elliptic_singular()
     msh = mesh_cache(2 ** -4, 3.0)
     dm = sf.build_dofmap(msh, fem.DIRICHLET)
-    uh = ell.exact(*msh.vertices[dm.vertex_to_dof >= 0].T) * 1.01
+    uh = ell.exact(*msh.vertices[dm.free].T) * 1.01
 
     def norms():
         with monkeypatch.context() as m:
