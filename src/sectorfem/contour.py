@@ -11,7 +11,9 @@ over j = -M..M folds onto j = 0..M, costing M+1 solves instead of 2M+1.
 Each node z solves ``(z**alpha M + S) uhat = z**(alpha-1) * (b0 + b(z))``,
 the paper's node equation, in one ``fem.solve_complex_symmetric`` call;
 b0 = M u0h is the load vector of u0 and b(z) that of the transformed
-source, both from ``fem.assemble_load``.
+source, both from ``fem.assemble_load``.  The evolve folds each node's
+term into one real running sum as soon as the node is solved, in the order
+of ``fold_terms``, so no array grows with M.
 """
 
 from __future__ import annotations
@@ -118,12 +120,16 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
 
     Solves the complex system at the M+1 nodes of the contour for time t
     and reassembles the real nodal vector.  Each evaluation costs exactly
-    M+1 complex solves.  The initial data enter only through ``M u0h``,
-    where u0h is the L2 projection of u0; that product is the load vector
-    of u0, so it is assembled directly and neither the projection nor a
-    mass solve is done.  A :class:`~sectorfem.problems.SeparableSource` has
-    each of its distinct fields loaded once, like u0, before the first node
-    is factored; only a plain ``fhat`` callable is loaded at every node.
+    M+1 complex solves.  Each node's term is added to one real running sum,
+    in increasing j as ``fold_terms`` adds them, and released before the
+    next node is factored, so the result equals ``fold_terms`` of the
+    stacked terms bit for bit and the working set does not grow with M.
+    The initial data enter only through ``M u0h``, where u0h is the L2
+    projection of u0; that product is the load vector of u0, so it is
+    assembled directly and neither the projection nor a mass solve is done.
+    A :class:`~sectorfem.problems.SeparableSource` has each of its distinct
+    fields loaded once, like u0, before the first node is factored; only a
+    plain ``fhat`` callable is loaded at every node.
     ``dofmap`` must be built for ``problem.bc_kind``, and ``mass`` and
     ``stiffness`` must both be ``(n_dofs, n_dofs)``, or ValueError is raised
     before anything is loaded or factored.
@@ -134,7 +140,7 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
                          f"{(dofmap.n_dofs,) * 2}, the size of the dof map")
     params = make_contour(M, t)
     rhs = _node_rhs(problem, mesh, dofmap)
-    terms = np.empty((M + 1, dofmap.n_dofs), dtype=complex)
+    acc = None
     for j, (z, dz) in enumerate(zip(params.nodes, params.dnodes)):
         z = complex(z)
         try:
@@ -142,5 +148,7 @@ def inverse_laplace_evolve(problem, mesh, dofmap, mass, stiffness, t: float,
         except fem.SolverError as exc:
             raise fem.SolverError(f"contour node j={j} (z={z:.6g}): {exc}",
                                   exc.residual) from exc
-        terms[j] = np.exp(z * t) * uhat * dz
-    return fold_terms(params, terms)
+        term = np.imag(np.exp(z * t) * uhat * dz)
+        acc = 0.5 * term if j == 0 else acc + term
+        del uhat, term  # neither may outlive the next node's factorization
+    return (params.dxi / np.pi) * acc

@@ -534,7 +534,7 @@ def _lu_solve(A: sp.sparray, b: np.ndarray, context: str) -> np.ndarray:
         raise SolverError(f"{context} failed: {exc}") from exc
     res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
     if not res <= _RESIDUAL_TOL:  # NaN fails too
-        raise SolverError(f"{context}: relative residual {res:.3e} exceeds 1e-10", res)
+        raise SolverError(f"{context}: relative residual {res:.3e} exceeds {_RESIDUAL_TOL:g}", res)
     return x
 
 

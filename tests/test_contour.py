@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sectorfem as sf
-from sectorfem import fem
+from sectorfem import contour, fem
 from sectorfem.contour import (DELTA, fold_terms, inverse_laplace_evolve, laplace_invert_scalar,
                                make_contour)
-from conftest import mass_norm, smallest_eigenpairs
+from conftest import mass_norm, smallest_eigenpairs, traced_peak_mb
 
 
 def node_solve(z, alpha, M, S, b):
@@ -357,6 +357,31 @@ def test_evolve_matches_projection_reference(request, system):
     ref = fold_terms(params, terms)
     got = inverse_laplace_evolve(spec, msh, dm, M, S, t, 8)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("system", ["mixed_system", "source_system", "plain_source_system"])
+@pytest.mark.parametrize("t", [0.01, 1.0, 100.0])
+def test_evolve_streams_the_fold_of_stacked_terms_bit_for_bit(request, system, t):
+    spec, msh, dm, M, S = request.getfixturevalue(system)
+    rhs = contour._node_rhs(spec, msh, dm)
+    params = make_contour(8, t)
+    terms = np.array([np.exp(z * t) * fem.solve_complex_symmetric(z ** spec.alpha, M, S, rhs(z))
+                      * dz for z, dz in zip(map(complex, params.nodes), params.dnodes)])
+    expect = fold_terms(params, terms)
+    got = inverse_laplace_evolve(spec, msh, dm, M, S, t, 8)
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("system", ["mixed_system", "source_system"])
+def test_evolve_working_set_does_not_grow_with_m(request, system):
+    # each node's term is folded and released before the next factorization,
+    # so 65 nodes need no more memory than 9
+    spec, msh, dm, M, S = request.getfixturevalue(system)
+
+    def peak(m):
+        return traced_peak_mb(lambda: inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, m))
+
+    assert peak(64) <= 1.05 * peak(8)
 
 
 def test_evolve_doubling_m_contracts_difference(mixed_system):

@@ -892,6 +892,16 @@ def test_solver_error_carries_residual():
         fem.solve_real_spd(A, np.array([1.0, 0.0]))
 
 
+def test_solver_error_names_the_bound_it_checked(monkeypatch):
+    monkeypatch.setattr(fem, "_RESIDUAL_TOL", 0.0)
+    rng = np.random.default_rng(42)
+    A = rng.standard_normal((50, 50))
+    A = sp.csr_array(A @ A.T + 50 * np.eye(50))
+    with pytest.raises(fem.SolverError, match=r"relative residual \S+ exceeds 0$") as info:
+        fem.solve_real_spd(A, A @ rng.standard_normal(50))
+    assert info.value.residual > 0 and "1e-10" not in str(info.value)
+
+
 def test_smallest_eigenvalue_matches_bessel_oracle(assembled_cache):
     msh, dm, M, S = assembled_cache(2 ** -5, 1.5, fem.DIRICHLET, 1.0)
     lam, vecs = smallest_eigenpairs(S, M, k=3)
