@@ -31,13 +31,14 @@ MU_COEFF = 4.49207528    # mu = MU_COEFF * M / t
 XI_COEFF = 1.08179214    # dxi = XI_COEFF / M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContourParams:
     """Nodes z_j and derivatives z'_j, j = 0..M, for target time t.
 
     The j < 0 half of the contour is the complex conjugate and is never
     stored.  z_0 is real and positive; all nodes avoid the negative real
     axis, so the principal branch of z**alpha is well defined on them.
+    Contours compare and hash by identity.
     """
 
     M: int

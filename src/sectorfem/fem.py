@@ -52,14 +52,16 @@ Every quadrature-point and reduction kernel is a single 2-D matrix
 product, which BLAS runs far faster than the equivalent three-operand
 einsum.
 
-Mass and stiffness go onto one P1 pattern.  :func:`_p1_pattern`, the one
-place the free vertices are numbered, reads the edges from
-``Mesh.triangle_edges``, numbered once per mesh, keeps those between two
-free dofs, and lets scipy's COO-to-CSR conversion lay out the int32 CSR
-arrays: the diagonal and both entries of each free edge, each carrying
-the number of the sum it reads.  The element matrices are then
-summed per dof and per edge in blocks of ``_INTEGRATE_BLOCK`` elements, so
-no array holds the 9 entries of every element.  M and S carry equal index
+Mass and stiffness are summed on the mesh, as load vectors are, and
+restricted to the free dofs once.  :func:`_assemble` adds the element
+matrices per mesh vertex (the diagonal) and per mesh edge (both
+off-diagonal entries), with the edges that ``Mesh.triangle_edges``
+numbers once per mesh, in blocks of ``_INTEGRATE_BLOCK`` elements, so no
+array holds the 9 entries of every element.  :func:`_p1_pattern`, the one
+place the assembly reads the free mask and numbers the free vertices,
+keeps the edges between two free dofs and lets scipy's COO-to-CSR
+conversion lay out the int32 CSR arrays, each entry carrying the number
+of the vertex or edge sum it gathers.  M and S carry equal index
 arrays, and :func:`solve_complex_symmetric`, which takes only such pairs,
 forms each contour-node matrix ``z^a M + S`` as one complex data array on
 M's index arrays instead of a sparse sum.
@@ -135,14 +137,15 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofMap:
     """The free vertices of a mesh, whose hat functions span the P1 space.
 
     ``free`` is a 1-D boolean vertex mask, read-only.  The free vertices
     carry the dofs 0..n_dofs-1 in vertex order, so a vector over the dofs is
     a vertex vector restricted by ``free`` (``v[free]``), and
-    :meth:`expand` undoes that restriction.
+    :meth:`expand` undoes that restriction.  Dof maps compare and hash by
+    identity.
     """
 
     free: np.ndarray
@@ -214,73 +217,66 @@ def _check_dofmap(mesh: Mesh, dofmap: DofMap) -> None:
 
 
 def _p1_pattern(mesh: Mesh, dofmap: DofMap):
-    """CSR pattern of the free-dof P1 matrices and the sum each element entry adds to.
+    """CSR pattern of the free-dof P1 matrices and the mesh sum each entry reads.
 
-    Returns ``(indptr, indices, ids, src)``, all int32.  ``indptr`` and
+    Returns ``(indptr, indices, src)``, all int32.  ``indptr`` and
     ``indices`` are canonical (sorted, duplicate-free) CSR arrays: row i
-    holds i and every free dof that shares an element edge with it.  The
-    entries of the element matrices are summed into n_dofs + n_edges + 1
-    sums: one per free dof (the diagonal), one per edge between two free
-    dofs (both of its off-diagonal entries, as the element matrices are
-    symmetric), and a last spill sum for the entries of constrained
-    vertices.  ``ids`` (nt, 6) names the sums that each element's entries
-    ``(_ROWS, _COLS)`` add to; ``src`` names the sum each CSR entry reads.
-    The CSR arrays come from scipy's COO-to-CSR conversion of the sum
-    numbers at the diagonal and at both entries of each free edge; as each
-    free edge appears once, the conversion sums nothing and only sorts, so
-    the free edges may arrive in any order.
+    holds i and every free dof that shares an element edge with it.
+    ``src`` names the sum of :func:`_assemble` that each CSR entry reads:
+    sum v of vertex v on the diagonal, and sum nv + e of mesh edge e
+    (numbered by ``Mesh.triangle_edges``) at both entries of the edge.
+    This is the one place the assembly reads the free mask and numbers the
+    free dofs.  The CSR arrays come from scipy's COO-to-CSR conversion of
+    these sum numbers; as each edge appears once, it sums nothing and only
+    sorts.
     """
+    free, edge = dofmap.free, mesh.triangle_edges
+    ends = np.empty((2, int(edge.max(initial=-1)) + 1), dtype=np.int32)  # each edge's vertices
+    for c in range(3):
+        ends[0, edge[:, c]] = mesh.triangles[:, (c + 1) % 3]
+        ends[1, edge[:, c]] = mesh.triangles[:, (c + 2) % 3]
+    edge_sum = np.flatnonzero(free[ends].all(axis=0)).astype(np.int32)  # edges between free dofs
+    a, b = (np.cumsum(free, dtype=np.int32) - 1)[ends[:, edge_sum]]
+    del ends  # a whole-mesh temporary, freed before the layout
+    edge_sum += mesh.n_vertices
     n = dofmap.n_dofs
-    dofs = np.where(dofmap.free, np.cumsum(dofmap.free, dtype=np.int32) - 1, -1)[mesh.triangles]
-    edge = mesh.triangle_edges
-    # each mesh edge's end dofs (-1 if constrained)
-    a, b = dofs[:, [1, 2, 0]], dofs[:, [2, 0, 1]]
-    lo = np.empty(int(edge.max(initial=-1)) + 1, dtype=np.int32)
-    hi = np.empty_like(lo)
-    lo[edge], hi[edge] = np.minimum(a, b), np.maximum(a, b)
-    del a, b  # whole-mesh temporaries, freed before the layout
-    free = lo >= 0
-    lo, hi = lo[free], hi[free]
-    n_edges = lo.size
-    free_edge = np.where(free, np.cumsum(free, dtype=np.int32) - 1, n_edges)
     rows = np.arange(n, dtype=np.int32)
-    edge_sum = np.arange(n, n + n_edges, dtype=np.int32)
-    pattern = sp.coo_array((np.concatenate([rows, edge_sum, edge_sum]),
-                            (np.concatenate([rows, lo, hi]), np.concatenate([rows, hi, lo]))),
+    pattern = sp.coo_array((np.concatenate([np.flatnonzero(free), edge_sum, edge_sum],
+                                           dtype=np.int32),
+                            (np.concatenate([rows, a, b]), np.concatenate([rows, b, a]))),
                            shape=(n, n)).tocsr()
-
-    ids = np.empty((dofs.shape[0], 6), dtype=np.int32)
-    ids[:, :3] = np.where(dofs < 0, n + n_edges, dofs)
-    np.add(free_edge[edge], n, out=ids[:, 3:])  # a constrained edge's number n_edges spills too
-    return pattern.indptr, pattern.indices, ids, pattern.data
+    return pattern.indptr, pattern.indices, pattern.data
 
 
-# The entries (i, j) of an element matrix that _p1_pattern's ids name: the
+# The entries (i, j) of an element matrix that _assemble sums: the
 # diagonal (c, c), then edge c's entry (c+1, c+2), for c = 0, 1, 2.
 _ROWS, _COLS = np.array([0, 1, 2, 1, 2, 0]), np.array([0, 1, 2, 2, 0, 1])
 
 
 def _assemble(mesh: Mesh, dofmap: DofMap, local: Callable) -> sp.csr_array:
-    """Sum symmetric element matrices into the free-dof CSR matrix on the P1 pattern.
+    """Sum symmetric element matrices on the mesh; gather the free-dof CSR matrix.
 
     ``local(block)`` returns the entries ``(_ROWS, _COLS)`` (e, 6) of the
-    element matrices of the elements in the slice ``block``.  They are
-    summed in blocks of ``_INTEGRATE_BLOCK`` elements, so no per-entry
-    array spans the whole mesh; each sum adds its terms in element order.
-    Each CSR entry then gathers the sum that the pattern's ``src`` names;
-    both off-diagonal entries of an edge read one sum, so the matrix is
-    exactly symmetric.  The matrix keeps the pattern's int32 index arrays
-    from scipy's COO-to-CSR conversion, which halves the index arrays of
-    the matrix and of every node matrix formed from it; SuperLU takes int32
-    indices too.
+    element matrices of the elements in the slice ``block``.  Block by
+    block of ``_INTEGRATE_BLOCK`` elements, so no per-entry array spans the
+    whole mesh, the diagonal entries are added onto their vertices' sums
+    and the edge entries onto their edges' sums, each sum in element
+    order.  Each CSR entry then gathers the sum that the pattern's ``src``
+    names; both off-diagonal entries of an edge read one sum, so the matrix
+    is exactly symmetric.  The matrix keeps the pattern's int32 index
+    arrays, which halves the index arrays of the matrix and of every node
+    matrix formed from it; SuperLU takes int32 indices too.
     """
     _check_dofmap(mesh, dofmap)
-    indptr, indices, ids, src = _p1_pattern(mesh, dofmap)
-    n = dofmap.n_dofs
-    sums = np.zeros(n + (indices.size - n) // 2 + 1)  # per dof, per edge, and the spill
-    for start in range(0, ids.shape[0], _INTEGRATE_BLOCK):
+    indptr, indices, src = _p1_pattern(mesh, dofmap)
+    nv, edge = mesh.n_vertices, mesh.triangle_edges
+    sums = np.zeros(nv + int(edge.max(initial=-1)) + 1)  # per mesh vertex, then per mesh edge
+    for start in range(0, mesh.n_triangles, _INTEGRATE_BLOCK):
         block = slice(start, start + _INTEGRATE_BLOCK)
-        np.add.at(sums, ids[block].ravel(), local(block).ravel())
+        entries = local(block)
+        np.add.at(sums, mesh.triangles[block].ravel(), entries[:, :3].ravel())
+        np.add.at(sums, (edge[block] + nv).ravel(), entries[:, 3:].ravel())
+    n = dofmap.n_dofs
     return sp.csr_array((sums[src], indices, indptr), shape=(n, n))
 
 
@@ -465,8 +461,12 @@ def _load_superlu():
     file in scipy's ``sparse/linalg/_dsolve`` directory is loaded and
     registered in ``sys.modules`` under its own name, where a later
     ``import scipy.sparse.linalg`` finds it, so both share one ``SuperLU``
-    type.  If that directory holds no such file, the module is imported the
-    ordinary way, which imports scipy.sparse.linalg too.
+    type and ``from scipy.sparse.linalg._dsolve import _superlu`` returns
+    it.  That import does not make it an attribute of its package, though:
+    the attribute access ``scipy.sparse.linalg._dsolve._superlu`` raises
+    AttributeError, as the package did not exist when the module was
+    registered.  If that directory holds no such file, the module is
+    imported the ordinary way, which imports scipy.sparse.linalg too.
     """
     if _SUPERLU in sys.modules:
         return sys.modules[_SUPERLU]

@@ -19,7 +19,7 @@ orientation, conformity), then immutable (the mesh keeps read-only
 copies of the vertex/triangle arrays, so the caller's stay writeable) and
 safe to share across threads.  The conformity check
 numbers the undirected edges, and the mesh keeps that numbering as
-``Mesh.triangle_edges`` for the assembly's sparsity pattern.
+``Mesh.triangle_edges`` for the assembly's edge sums.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ _EDGE_TAGS = (EDGE_THETA0, EDGE_THETA_MAX, EDGE_ARC)
 _GRADING_C_LO, _GRADING_C_HI = 0.1, 10.0  # verify_grading's bounds on h_tri / target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Conforming triangulation of the sector.
 
@@ -53,8 +53,12 @@ class Mesh:
     gamma : grading exponent (>= 1; 1 means quasiuniform).
     h_star : nominal mesh parameter used to generate the mesh.
     triangle_edges : (nt, 3) int32 array, derived (not an argument, nor in
-        ``repr`` or ``==``): entry c numbers the edge joining vertices c+1
-        and c+2; the edges are numbered 0..ne-1 in order of ``lo * nv + hi``.
+        ``repr``): entry c numbers the edge joining vertices c+1 and c+2;
+        the edges are numbered 0..ne-1 in order of ``lo * nv + hi``.  It
+        serves the conformity check and the assembly's edge sums.
+
+    Meshes compare and hash by identity, as array fields cannot be
+    compared with ``==`` as one truth value.
     """
 
     vertices: np.ndarray

@@ -111,16 +111,17 @@ def finest_operators(mesh_cache):
 
 # Peaks measured on the finest acceptance-6 mesh (48,450 triangles, 24,094
 # dofs); each bound is the measured peak plus about 25%.  With whole-mesh
-# COO arrays the two assemblies peaked at 21.1 and 23.7 MB, and with a
-# sparse sum for z^a M + S one node solve at 12.3 MB.
+# COO arrays the two assemblies peaked at 21.1 and 23.7 MB, with sums per
+# free dof and an (nt, 6) table of each element entry's sum at 5.5 and
+# 7.7 MB, and with a sparse sum for z^a M + S one node solve at 12.3 MB.
 def test_mass_assembly_peak_memory_on_the_finest_mesh(finest_operators):
-    msh, dm, _, _ = finest_operators  # 5.5 MB measured
-    assert traced_peak_mb(lambda: fem.assemble_mass(msh, dm)) <= 6.9
+    msh, dm, _, _ = finest_operators  # 4.6 MB measured
+    assert traced_peak_mb(lambda: fem.assemble_mass(msh, dm)) <= 5.7
 
 
 def test_stiffness_assembly_peak_memory_on_the_finest_mesh(finest_operators):
-    msh, dm, _, _ = finest_operators  # 7.7 MB measured
-    assert traced_peak_mb(lambda: fem.assemble_stiffness(msh, dm, 1.0)) <= 9.6
+    msh, dm, _, _ = finest_operators  # 6.8 MB measured
+    assert traced_peak_mb(lambda: fem.assemble_stiffness(msh, dm, 1.0)) <= 8.5
 
 
 def test_node_solve_peak_memory_on_the_finest_mesh(finest_operators):
@@ -186,6 +187,22 @@ def test_pattern_assembly_matches_coo_reference(h_star, gamma, bc_kind, K, alpha
     assert np.shares_memory(A.indices, M.indices)
     assert np.array_equal(A.indices, expect.indices) and np.array_equal(A.indptr, expect.indptr)
     assert np.array_equal(A.data, expect.data)
+
+
+@settings(max_examples=12, deadline=None)
+@given(h_star=st.sampled_from([2 ** -2, 2 ** -3, 2 ** -4]), gamma=st.floats(1.0, 6.0),
+       bc_kind=st.sampled_from([fem.DIRICHLET, fem.MIXED]))
+def test_assembly_commutes_with_the_free_mask(h_star, gamma, bc_kind):
+    # summing on all vertices and restricting to the free ones afterwards
+    # gives the same entries to the last bit
+    msh = sf.generate_sector_mesh(BETA, h_star, gamma)
+    dm, everything = sf.build_dofmap(msh, bc_kind), fem.unconstrained_dofmap(msh)
+    pairs = [(fem.assemble_mass(msh, dm), fem.assemble_mass(msh, everything)),
+             (fem.assemble_stiffness(msh, dm, 1.7), fem.assemble_stiffness(msh, everything, 1.7))]
+    for A, A_all in pairs:
+        ref = A_all[dm.free][:, dm.free]
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, name), getattr(ref, name)), name
 
 
 @pytest.mark.parametrize("free, message", [
@@ -884,6 +901,26 @@ def test_superlu_falls_back_to_the_ordinary_import(tmp_path):
     assert report["shared"] and "scipy.sparse.linalg" in report["loaded"]
     expect = _example2_coarse_solution()
     assert uh.dtype == expect.dtype and np.array_equal(uh, expect)
+
+
+def test_superlu_module_is_the_one_scipy_sparse_linalg_imports_later():
+    # fem registers the extension module before scipy.sparse.linalg exists:
+    # the later import finds that module, but does not make it an attribute
+    # of scipy.sparse.linalg._dsolve
+    script = """
+import sectorfem
+from sectorfem import fem
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
+assert _superlu is fem._superlu
+assert isinstance(spla.splu(sp.eye_array(3, format="csc")), fem._superlu.SuperLU)
+"""
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-W", "error", "-c", script], env=env, check=True,
+                   capture_output=True, timeout=120)
 
 
 def test_solver_error_carries_residual():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import sectorfem as sf
 from sectorfem import mesh as mesh_module
+from sectorfem.contour import make_contour
 from sectorfem.mesh import (EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh,
                             triangle_areas, triangle_diameters,
                             triangle_origin_distances)
@@ -100,6 +101,21 @@ def test_triangle_edges_of_a_mesh_read_back(tmp_path, mesh_cache):
 def test_triangle_edges_is_derived_not_a_field_to_set():
     (f,) = [f for f in fields(Mesh) if f.name == "triangle_edges"]
     assert (f.init, f.repr, f.compare) == (False, False, False)
+
+
+def test_mesh_dofmap_and_contour_compare_and_hash_by_identity():
+    msh = sf.generate_sector_mesh(BETA, 2 ** -2, 1.0)
+    pairs = [(msh, sf.generate_sector_mesh(BETA, 2 ** -2, 1.0)),
+             (sf.build_dofmap(msh, "dirichlet"), sf.build_dofmap(msh, "dirichlet")),
+             (make_contour(8, 1.0), make_contour(8, 1.0))]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert len({a, b}) == 2
+    steeper = replace(msh, gamma=3.0)
+    assert steeper.gamma == 3.0 and steeper != msh
+    assert steeper.triangle_edges is not msh.triangle_edges  # rebuilt, not shared
+    assert np.array_equal(steeper.triangle_edges, msh.triangle_edges)
+    assert not steeper.triangle_edges.flags.writeable
 
 
 def test_mesh_freezes_copies_not_the_callers_arrays(mesh_cache):
