@@ -31,18 +31,18 @@ own ``gstrf`` call and makes the same call, so every factor is the one
 ``splu`` returns with these options.  It rests on the keywords of that
 private ``gstrf``; a test checks it against ``splu`` on the installed scipy.
 
-Quadrature near the corner follows one geometric policy,
-:func:`element_quad_points`: every element gets the same tabulated
-symmetric rule, and the elements with a vertex at the re-entrant corner
-get it on each of their four midpoint-refinement children, so integrands
-with an r**(beta-1) singularity there are sampled more densely.  The
-policy reads only the vertex coordinates, never the generation metadata
-of the mesh.  This module owns the degrees of the two rules the scheme
-needs: ``_LOAD_DEGREE`` (4) for load vectors and ``_ERROR_DEGREE`` (6) for
-the error norms.
-Both mesh integrals the scheme needs run on one blocked loop over that
-quadrature: :func:`assemble_load` builds load vectors on it, summed over
-all vertices and then restricted to the free ones by ``DofMap.free``, and
+Every field integral uses one quadrature, :func:`element_quad_points`:
+one tabulated rule, Dunavant's symmetric 6-point rule of degree 4, on
+every element, and on each of the four midpoint-refinement children of
+the elements with a vertex at the re-entrant corner, so integrands with an
+r**(beta-1) singularity there are sampled more densely.  The policy reads
+only the vertex coordinates, never the generation metadata of the mesh.
+As load vectors and error norms share the rule, and the hat functions sum
+to one, the entries of a load vector over all vertices sum to the
+:func:`integrate` value of its field.
+Both integrals run on one blocked loop over that quadrature:
+:func:`assemble_load` builds load vectors on it, summed over all vertices
+and then restricted to the free ones by ``DofMap.free``, and
 :func:`integrate` scalar integrals (the error norms in ``harness``).  Each
 evaluates and reduces its field on blocks of at most ``_INTEGRATE_BLOCK``
 elements of a quadrature group, so no array of quadrature points spans a
@@ -89,44 +89,23 @@ from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, _edge_vectors, _edge_areas, trian
 DIRICHLET = "dirichlet"
 MIXED = "mixed"
 
-# Symmetric interior-point quadrature rules on the reference triangle:
-# degree -> (barycentric points (n, 3), weights summing to 1).  Interior
-# points only, so integrands with an r**(beta-1) corner singularity are
-# never sampled at the corner itself.
-_TRI_RULES = {
-    4: (
-        np.array([
-            [0.108103018168070, 0.445948490915965, 0.445948490915965],
-            [0.445948490915965, 0.108103018168070, 0.445948490915965],
-            [0.445948490915965, 0.445948490915965, 0.108103018168070],
-            [0.816847572980459, 0.091576213509771, 0.091576213509771],
-            [0.091576213509771, 0.816847572980459, 0.091576213509771],
-            [0.091576213509771, 0.091576213509771, 0.816847572980459],
-        ]),
-        np.array([0.223381589678011, 0.223381589678011, 0.223381589678011,
-                  0.109951743655322, 0.109951743655322, 0.109951743655322]),
-    ),
-    6: (
-        np.array([
-            [0.873821971016996, 0.063089014491502, 0.063089014491502],
-            [0.063089014491502, 0.873821971016996, 0.063089014491502],
-            [0.063089014491502, 0.063089014491502, 0.873821971016996],
-            [0.501426509658179, 0.249286745170910, 0.249286745170911],
-            [0.249286745170910, 0.501426509658179, 0.249286745170911],
-            [0.249286745170910, 0.249286745170911, 0.501426509658179],
-            [0.636502499121399, 0.310352451033785, 0.053145049844816],
-            [0.636502499121399, 0.053145049844816, 0.310352451033785],
-            [0.310352451033785, 0.636502499121399, 0.053145049844816],
-            [0.310352451033785, 0.053145049844816, 0.636502499121399],
-            [0.053145049844816, 0.636502499121399, 0.310352451033785],
-            [0.053145049844816, 0.310352451033785, 0.636502499121399],
-        ]),
-        np.array([0.050844906370207, 0.050844906370207, 0.050844906370207,
-                  0.116786275726379, 0.116786275726379, 0.116786275726379,
-                  0.082851075618374, 0.082851075618374, 0.082851075618374,
-                  0.082851075618374, 0.082851075618374, 0.082851075618374]),
-    ),
-}
+# The one quadrature rule of loads and error norms: Dunavant's symmetric
+# 6-point rule on the reference triangle, exact to degree 4, as
+# (barycentric points (6, 3), weights summing to 1).  Interior points only,
+# so integrands with an r**(beta-1) corner singularity are never sampled at
+# the corner itself.
+_RULE = (
+    np.array([
+        [0.108103018168070, 0.445948490915965, 0.445948490915965],
+        [0.445948490915965, 0.108103018168070, 0.445948490915965],
+        [0.445948490915965, 0.445948490915965, 0.108103018168070],
+        [0.816847572980459, 0.091576213509771, 0.091576213509771],
+        [0.091576213509771, 0.816847572980459, 0.091576213509771],
+        [0.091576213509771, 0.091576213509771, 0.816847572980459],
+    ]),
+    np.array([0.223381589678011, 0.223381589678011, 0.223381589678011,
+              0.109951743655322, 0.109951743655322, 0.109951743655322]),
+)
 
 
 class SolverError(RuntimeError):
@@ -317,17 +296,16 @@ _CHILDREN = np.array([
 ])
 
 
-def element_quad_points(mesh: Mesh, degree: int):
+def element_quad_points(mesh: Mesh):
     """Quadrature groups (element ids, barycentric points (q, 3), weights (q,)).
 
-    Every element uses the tabulated rule of ``degree`` (4 or 6); the
-    elements with a vertex at the origin, where the r**(beta-1)
-    singularities sit, use that rule on each of their four
-    midpoint-refinement children, a quarter of the weight each.  The
-    children's points stay in the parent's barycentric coordinates, so P1
-    functions evaluate unchanged.  Empty groups are left out.
+    Every element uses the rule ``_RULE``; the elements with a vertex at
+    the origin, where the r**(beta-1) singularities sit, use it on each of
+    their four midpoint-refinement children, a quarter of the weight each.
+    The children's points stay in the parent's barycentric coordinates, so
+    P1 functions evaluate unchanged.  Empty groups are left out.
     """
-    pts, w = _TRI_RULES[degree]
+    pts, w = _RULE
     r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
     corner = (r[mesh.triangles] < 1e-14).any(axis=1)
     groups = [(np.flatnonzero(~corner), pts, w),
@@ -368,12 +346,10 @@ def field_values(g: Callable, x: np.ndarray, y: np.ndarray, what: str,
 
 # Elements per block of the quadrature loop.  A block's (e, q) point and
 # field arrays then stay a few hundred kB, instead of tens of MB for a
-# whole graded mesh at degree 6.  A power of two is a multiple of the row
-# unroll of BLAS matrix kernels, so each element's sum is rounded exactly
-# as in one product over its whole group.
+# whole graded mesh.  A power of two is a multiple of the row unroll of
+# BLAS matrix kernels, so each element's sum is rounded exactly as in one
+# product over its whole group.
 _INTEGRATE_BLOCK = 4096
-_LOAD_DEGREE = 4  # degree of the element_quad_points rule of every load vector
-_ERROR_DEGREE = 6  # degree of the rule of every integrate call (the error norms)
 
 
 def _blocks(mesh: Mesh, ids: np.ndarray, pts: np.ndarray):
@@ -389,7 +365,7 @@ def _blocks(mesh: Mesh, ids: np.ndarray, pts: np.ndarray):
 
 
 def integrate(mesh: Mesh, integrand: Callable) -> float:
-    """Integral over the mesh by the :func:`element_quad_points` rule of ``_ERROR_DEGREE``.
+    """Integral over the mesh by the :func:`element_quad_points` quadrature.
 
     ``integrand(ids, pts, x, y)`` gets element ids, the group's barycentric
     points (q, 3) and point coordinates x, y (e, q), and returns its values
@@ -399,7 +375,7 @@ def integrate(mesh: Mesh, integrand: Callable) -> float:
     """
     areas = triangle_areas(mesh)
     total = 0.0
-    for ids, pts, w in element_quad_points(mesh, _ERROR_DEGREE):
+    for ids, pts, w in element_quad_points(mesh):
         per_element = [integrand(block, pts, x, y) @ w
                        for block, x, y in _blocks(mesh, ids, pts)]
         total += float(areas[ids] @ np.concatenate(per_element))
@@ -409,17 +385,17 @@ def integrate(mesh: Mesh, integrand: Callable) -> float:
 def assemble_load(mesh: Mesh, dofmap: DofMap, g: Callable) -> np.ndarray:
     """Load vector b_i = integral of g * phi_i by the :func:`element_quad_points` quadrature.
 
-    The rule is of degree ``_LOAD_DEGREE``.  ``g(x, y)`` must accept numpy
-    arrays; complex-valued fields give a complex load vector.  Non-finite
-    evaluations raise ValueError with the offending location.  The field is
-    evaluated and reduced on the blocks :func:`integrate` uses, and each
-    block's element vectors are added into a vector over all vertices in
-    element order; the load vector is its restriction to the free vertices.
+    ``g(x, y)`` must accept numpy arrays; complex-valued fields give a
+    complex load vector.  Non-finite evaluations raise ValueError with the
+    offending location.  The field is evaluated and reduced on the blocks
+    :func:`integrate` uses, and each block's element vectors are added into
+    a vector over all vertices in element order; the load vector is its
+    restriction to the free vertices.
     """
     areas = triangle_areas(mesh)
     _check_dofmap(mesh, dofmap)
     out = np.zeros(mesh.n_vertices)
-    for ids, pts, w in element_quad_points(mesh, _LOAD_DEGREE):
+    for ids, pts, w in element_quad_points(mesh):
         wpts = w[:, None] * pts
         for block, x, y in _blocks(mesh, ids, pts):
             vals = field_values(g, x, y, "load field")

@@ -3,8 +3,8 @@
 :func:`solve_spec` is the one solve path: it assembles and solves any
 problem spec on a given mesh and dof map, and both the convergence studies
 and the command line call it.  L2 and H1-seminorm errors are integrated
-by ``fem.integrate`` at degree ``fem._ERROR_DEGREE`` (6), on the corner
-quadrature load assembly uses too.
+by ``fem.integrate`` with the one quadrature load assembly uses too:
+the degree-4 rule, refined on the corner elements.
 Convergence studies drive mesh generation and the solve over a sequence of
 mesh sizes, then report pairwise rates and least-squares slopes against
 both the dof count and the mesh parameter.

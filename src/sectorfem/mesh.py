@@ -16,10 +16,10 @@ whose line count is not the one its header promises.
 
 Mesh values are checked on construction (indices, boundary tags,
 orientation, conformity), then immutable (the mesh keeps read-only
-copies of the vertex/triangle arrays, so the caller's stay writeable) and
-safe to share across threads.  The conformity check
-numbers the undirected edges, and the mesh keeps that numbering as
-``Mesh.triangle_edges`` for the assembly's edge sums.
+copies of the vertex/triangle arrays, taken after the checks, so the
+caller's stay writeable) and safe to share across threads.  The
+conformity check numbers the undirected edges, and the mesh keeps that
+numbering as ``Mesh.triangle_edges`` for the assembly's edge sums.
 """
 
 from __future__ import annotations
@@ -70,12 +70,11 @@ class Mesh:
     triangle_edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", np.array(self.vertices, dtype=float, order="C"))
-        object.__setattr__(self, "triangles", np.array(self.triangles, dtype=np.int64, order="C"))
+        # the checks read the caller's arrays; the frozen copies come after them
+        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
+        object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=np.int64))
         object.__setattr__(self, "boundary_edges",
                            tuple((int(i), int(j), str(tag)) for i, j, tag in self.boundary_edges))
-        self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
         # numpy would wrap a negative index to the end of the vertex array,
         # so a bad index otherwise yields a valid-looking but wrong mesh.
         nv = self.vertices.shape[0]
@@ -103,7 +102,10 @@ class Mesh:
                              f"{self.vertices[self.triangles[k]].tolist()} is clockwise or "
                              "degenerate (signed area <= 0)")
         object.__setattr__(self, "triangle_edges", _check_conformity(self))
-        self.triangle_edges.setflags(write=False)
+        for name in ("vertices", "triangles"):
+            object.__setattr__(self, name, np.array(getattr(self, name), order="C"))
+        for name in ("vertices", "triangles", "triangle_edges"):
+            getattr(self, name).setflags(write=False)
 
     @property
     def n_vertices(self) -> int:

@@ -17,7 +17,8 @@ reaches 5.
 form.  It takes arguments up to 6, which covers the initial data of the
 benchmark problems (argument w*r below the first zero, under 3.2), and is
 accurate there to about 1e-14 absolute.  Larger arguments, where the series
-cancels badly, are rejected: no caller needs them.
+cancels badly, are rejected: no caller needs them.  Its coefficients are
+computed once per order, and a scalar is summed in float arithmetic.
 
 ``first_bessel_zero`` brackets the first sign change of ``bessel_j`` on a
 grid and bisects it down to adjacent doubles.  Over 300 random orders in
@@ -66,35 +67,45 @@ def mittag_leffler_neg(alpha: float, x: float) -> float:
     return min(1.0, max(0.0, e))
 
 
+@functools.cache
+def _series_coefficients(nu: float) -> tuple:
+    """``c_k = 1/(k! Gamma(k + nu + 1))`` for k < ``_BESSEL_SERIES_TERMS``, once per order."""
+    coef = [1.0 / math.gamma(nu + 1.0)]
+    for k in range(1, _BESSEL_SERIES_TERMS):
+        coef.append(coef[-1] / (k * (k + nu)))
+    return tuple(coef)
+
+
 def bessel_j(nu: float, x):
     """Bessel function J_nu for orders 0 <= nu <= 2 and arguments 0 <= x <= 6.
 
     Sums the ascending series ``J_nu(x) = (x/2)**nu * sum_k c_k y**k`` with
     ``y = -x**2/4`` and ``c_k = 1/(k! Gamma(k + nu + 1))`` in Horner form,
-    accurate to about 1e-14 absolute; the accumulator and one scratch buffer
-    are updated in place.  Larger arguments, where the series cancels
-    badly, are rejected.  A scalar argument gives a Python float, an array
-    one an array of its shape.
+    accurate to about 1e-14 absolute.  Larger arguments, where the series
+    cancels badly, are rejected.  A scalar argument gives a Python float,
+    summed in float arithmetic, and an array an array of its shape, summed
+    in one accumulator updated in place.  Both run the same operations, so
+    an array result equals the scalar results at its entries.
     """
     if not 0 <= nu <= 2:
         raise ValueError(f"order must lie in [0, 2], got {nu}")
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0) & (x <= _BESSEL_SERIES_MAX)):  # written so that NaN fails too
         raise ValueError(f"argument must lie in [0, {_BESSEL_SERIES_MAX:g}]")
-    flat = x.reshape(-1)
-    coef = [1.0 / math.gamma(nu + 1.0)]
-    for k in range(1, _BESSEL_SERIES_TERMS):
-        coef.append(coef[-1] / (k * (k + nu)))
-    y = np.multiply(flat, flat)
+    scalar = x.ndim == 0
+    if scalar:
+        x = float(x)  # numpy's per-call cost would dominate the Horner steps on one value
+    coef = _series_coefficients(nu)
+    y = x * x
     y *= -0.25
-    acc = np.full_like(flat, coef[-1])
-    for c in reversed(coef[:-1]):
-        acc *= y
+    acc = y * coef[-1]
+    for c in coef[-2:0:-1]:
         acc += c
-    np.multiply(flat, 0.5, out=y)
-    np.power(y, nu, out=y)
-    acc *= y
-    return float(acc[0]) if x.ndim == 0 else acc.reshape(x.shape)
+        acc *= y
+    acc += coef[0]
+    del y
+    acc *= np.power(x * 0.5, nu)
+    return float(acc) if scalar else acc
 
 
 @functools.cache

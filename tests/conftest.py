@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.special import roots_jacobi, roots_legendre
 
 import sectorfem as sf
 from sectorfem import fem
@@ -84,3 +85,19 @@ def failing_on_finest_mesh(monkeypatch, spec, gamma, hs):
         return original(zalpha, mass, stiffness, b)
 
     monkeypatch.setattr(fem, "solve_complex_symmetric", solve)
+
+
+def conical_rule(n):
+    """Conical product rule on the triangle, exact to degree 2n-1, weights summing to 1.
+
+    Gauss-Legendre points in the collapsed coordinate and Gauss-Jacobi
+    (weight 1-x) points in the other absorb the Jacobian exactly.
+    """
+    xi, wxi = roots_legendre(n)
+    xi = 0.5 * (xi + 1.0)
+    eta, weta = roots_jacobi(n, 1.0, 0.0)
+    eta = 0.5 * (eta + 1.0)
+    x = np.outer(xi, 1.0 - eta).ravel()
+    y = np.tile(eta, n)
+    w = np.outer(wxi, weta).ravel()
+    return np.column_stack([1.0 - x - y, x, y]), w / w.sum()

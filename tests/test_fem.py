@@ -19,7 +19,7 @@ import sectorfem as sf
 from sectorfem import fem
 from sectorfem.contour import make_contour
 from sectorfem.mesh import EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh, triangle_areas
-from conftest import smallest_eigenpairs, traced_peak_mb
+from conftest import conical_rule, smallest_eigenpairs, traced_peak_mb
 
 BETA = 2.0 / 3.0
 
@@ -291,6 +291,15 @@ def test_load_constant_field_sums_to_area(mesh_cache):
     assert b.sum() == pytest.approx(triangle_areas(msh).sum(), rel=1e-12)
 
 
+def test_load_sums_to_the_integral_of_its_field(mesh_cache):
+    # the hat functions sum to one, and loads and error norms share one
+    # rule, so the load of a field over all vertices sums to its integral
+    msh = mesh_cache(2 ** -4, 3.0)
+    g = sf.elliptic_singular().f
+    total = fem.assemble_load(msh, fem.unconstrained_dofmap(msh), g).sum()
+    assert total == pytest.approx(fem.integrate(msh, lambda ids, pts, x, y: g(x, y)), rel=1e-13)
+
+
 def test_load_of_basis_function_is_mass_column(mesh_cache):
     msh = mesh_cache(2 ** -3, 1.0)
     dm = fem.unconstrained_dofmap(msh)
@@ -329,10 +338,10 @@ def test_load_singular_field_finite_and_quadrature_converged(monkeypatch, mesh_c
     dm = sf.build_dofmap(msh, fem.DIRICHLET)
     f = sf.elliptic_singular().f
     b4 = fem.assemble_load(msh, dm, f)
-    monkeypatch.setattr(fem, "_LOAD_DEGREE", 6)
-    b6 = fem.assemble_load(msh, dm, f)
+    monkeypatch.setattr(fem, "_RULE", conical_rule(5))  # degree 9
+    b9 = fem.assemble_load(msh, dm, f)
     assert np.all(np.isfinite(b4))
-    assert np.linalg.norm(b6 - b4) / np.linalg.norm(b6) < 1e-3
+    assert np.linalg.norm(b9 - b4) / np.linalg.norm(b9) < 1e-3
 
 
 def test_load_rejects_nonfinite_field(mesh_cache):
@@ -406,26 +415,25 @@ def reference_triangle_monomial(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-QUADRATURE_DEGREES = [4, 6]  # the load and error-norm rules
+RULE_DEGREE = 4  # the degree of fem._RULE, the rule of loads and error norms
 
 
-@pytest.mark.parametrize("degree", QUADRATURE_DEGREES)
-def test_triangle_rule_integrates_monomials_exactly(degree):
-    pts, w = fem._TRI_RULES[degree]
+def test_triangle_rule_integrates_monomials_exactly():
+    pts, w = fem._RULE
     assert np.all(pts > 0) and w.sum() == pytest.approx(1.0, abs=1e-14)
     # on the reference triangle x and y are the barycentric coordinates 1 and 2
-    assert_monomials_exact(pts[:, 1], pts[:, 2], w, 0.5, reference_triangle_monomial, degree)
+    assert_monomials_exact(pts[:, 1], pts[:, 2], w, 0.5, reference_triangle_monomial,
+                           RULE_DEGREE)
 
 
-@pytest.mark.parametrize("degree", QUADRATURE_DEGREES)
-def test_element_quad_points_split_corner_elements_stay_exact(degree):
+def test_element_quad_points_split_corner_elements_stay_exact():
     # triangle 0 has a vertex at the origin, triangle 1 does not
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     msh = Mesh(verts, np.array([[0, 1, 2], [1, 3, 2]]),
                ((0, 1, EDGE_THETA0), (1, 3, EDGE_ARC), (3, 2, EDGE_ARC),
                 (2, 0, EDGE_THETA_MAX)), BETA, 1.0, 0.5)
     (plain_ids, plain_pts, plain_w), (corner_ids, corner_pts, corner_w) = \
-        fem.element_quad_points(msh, degree)
+        fem.element_quad_points(msh)
     assert plain_ids.tolist() == [1] and corner_ids.tolist() == [0]
     assert corner_pts.shape[0] == 4 * plain_pts.shape[0]
     assert np.all(corner_pts > 0) and corner_w.sum() == pytest.approx(1.0, abs=1e-14)
@@ -437,16 +445,16 @@ def test_element_quad_points_split_corner_elements_stay_exact(degree):
                                (corner_ids, corner_pts, corner_w,
                                 reference_triangle_monomial)):
         ((_, x, y),) = fem._blocks(msh, ids, pts)
-        assert_monomials_exact(x[0], y[0], w, 0.5, exact, degree)
+        assert_monomials_exact(x[0], y[0], w, 0.5, exact, RULE_DEGREE)
 
 
-def reference_load(msh, dm, g, degree):
+def reference_load(msh, dm, g):
     """Three-operand einsum load assembly on whole groups, the reference for assemble_load."""
     coords = msh.vertices[msh.triangles]
     areas = triangle_areas(msh)
     dofs = free_vertex_dofs(dm)[msh.triangles]
     out = np.zeros(dm.n_dofs, dtype=complex)
-    for ids, pts, w in fem.element_quad_points(msh, degree):
+    for ids, pts, w in fem.element_quad_points(msh):
         xq = np.einsum("qb,ebd->eqd", pts, coords[ids])
         vals = g(xq[..., 0], xq[..., 1])
         be = areas[ids, None] * np.einsum("eq,q,qb->eb", vals, w, pts)
@@ -456,19 +464,17 @@ def reference_load(msh, dm, g, degree):
     return out
 
 
-@pytest.mark.parametrize("degree", QUADRATURE_DEGREES)
 @pytest.mark.parametrize("bc_kind", [fem.DIRICHLET, fem.MIXED])
-def test_load_quadrature_matches_einsum_reference(monkeypatch, mesh_cache, bc_kind, degree):
-    monkeypatch.setattr(fem, "_LOAD_DEGREE", degree)
+def test_load_quadrature_matches_einsum_reference(mesh_cache, bc_kind):
     msh = mesh_cache(2 ** -3, 3.0)
     dm = sf.build_dofmap(msh, bc_kind)
-    assert len(fem.element_quad_points(msh, degree)) == 2, \
+    assert len(fem.element_quad_points(msh)) == 2, \
         "expected a near-corner group on a gamma=3 mesh"
     real_field = sf.elliptic_singular().f
     complex_field = sf.example1(0.5).fhat(make_contour(8, 1.0).nodes[3])
     for g, kind in ((real_field, "f"), (complex_field, "c")):
         got = fem.assemble_load(msh, dm, g)
-        ref = reference_load(msh, dm, g, degree)
+        ref = reference_load(msh, dm, g)
         assert got.dtype.kind == kind
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
@@ -480,7 +486,7 @@ def test_load_does_not_depend_on_block_size(monkeypatch, mesh_cache, bc_kind):
     # same double for double.  (Blocks of 1 or 7 move some last digits.)
     msh = mesh_cache(2 ** -5, 3.0)
     dm = sf.build_dofmap(msh, bc_kind)
-    assert max(ids.size for ids, _, _ in fem.element_quad_points(msh, 4)) > 4096
+    assert max(ids.size for ids, _, _ in fem.element_quad_points(msh)) > 4096
     fields = (sf.example2(0.5).u0, sf.example1(0.5).fhat(make_contour(8, 1.0).nodes[3]))
 
     def loads():
@@ -557,10 +563,9 @@ def test_project_reproduces_linear_functions(mesh_cache):
     assert np.max(np.abs(x - lin(*msh.vertices.T))) < 1e-10
 
 
-def test_projection_contracts_norm(monkeypatch, mesh_cache, assembled_cache):
+def test_projection_contracts_norm(mesh_cache, assembled_cache):
     msh, dm, M, _ = assembled_cache(2 ** -4, 3.0, fem.MIXED, 1.0)
     u0 = sf.example2(0.5).u0
-    monkeypatch.setattr(fem, "_LOAD_DEGREE", 6)
     x = fem.l2_project(msh, dm, u0)
     proj_norm = math.sqrt(x @ (M @ x))
     u0_norm = sf.l2_error(msh, None, np.zeros(msh.n_vertices), u0)

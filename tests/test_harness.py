@@ -5,12 +5,11 @@ import re
 
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi, roots_legendre
 
 import sectorfem as sf
 from sectorfem import fem, harness
 from sectorfem.mesh import EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh
-from conftest import failing_on_finest_mesh, traced_peak_mb
+from conftest import conical_rule, failing_on_finest_mesh, traced_peak_mb
 
 BETA = 2.0 / 3.0
 
@@ -109,7 +108,7 @@ def test_error_integrals_match_einsum_reference(mesh_cache):
     areas, grads = fem.element_geometry(msh)
     guh = np.einsum("eb,ebd->ed", values[msh.triangles], grads)
     l2 = h1 = 0.0
-    for ids, pts, w in fem.element_quad_points(msh, 6):
+    for ids, pts, w in fem.element_quad_points(msh):
         xq = np.einsum("qb,ebd->eqd", pts, coords[ids])
         uq = np.einsum("eb,qb->eq", values[msh.triangles][ids], pts)
         eq = ell.exact(xq[..., 0], xq[..., 1])
@@ -135,10 +134,7 @@ def test_integrate_does_not_depend_on_block_size(monkeypatch, mesh_cache, block)
     uh = ell.exact(*msh.vertices[dm.free].T) * 1.01
 
     def norms():
-        with monkeypatch.context() as m:
-            m.setattr(fem, "_ERROR_DEGREE", 4)  # the other rule
-            low = sf.l2_error(msh, dm, uh, ell.exact)
-        return (sf.l2_error(msh, dm, uh, ell.exact), low,
+        return (sf.l2_error(msh, dm, uh, ell.exact),
                 sf.h1_seminorm_error(msh, dm, uh, ell.exact_grad))
 
     monkeypatch.setattr(fem, "_INTEGRATE_BLOCK", msh.n_triangles)
@@ -279,33 +275,28 @@ def test_run_convergence_validates_inputs():
         sf.run_convergence(ell, 1.0, [])
 
 
-def conical_rule(n):
-    """Conical product rule on the triangle, exact to degree 2n-1, weights summing to 1.
-
-    Gauss-Legendre points in the collapsed coordinate and Gauss-Jacobi
-    (weight 1-x) points in the other absorb the Jacobian exactly.
-    """
-    xi, wxi = roots_legendre(n)
-    xi = 0.5 * (xi + 1.0)
-    eta, weta = roots_jacobi(n, 1.0, 0.0)
-    eta = 0.5 * (eta + 1.0)
-    x = np.outer(xi, 1.0 - eta).ravel()
-    y = np.tile(eta, n)
-    w = np.outer(wxi, weta).ravel()
-    return np.column_stack([1.0 - x - y, x, y]), w / w.sum()
-
-
 def test_quadrature_sufficiency_on_convergence_row(monkeypatch, assembled_cache):
-    # measured error must be discretization-dominated: a rule of two more
-    # degrees changes it by well under 1%
+    # measured error must be discretization-dominated: a degree-9 rule in
+    # place of the degree-4 one changes it by well under 1%
     spec = sf.example1(0.5)
     msh, dm, M, S = assembled_cache(2 ** -4, 1.5, fem.DIRICHLET, spec.K)
     U = sf.inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
-    e6 = sf.l2_error(msh, dm, U, lambda x, y: spec.exact(x, y, 1.0))
-    monkeypatch.setitem(fem._TRI_RULES, 8, conical_rule(5))
-    monkeypatch.setattr(fem, "_ERROR_DEGREE", 8)
-    e8 = sf.l2_error(msh, dm, U, lambda x, y: spec.exact(x, y, 1.0))
-    assert abs(e8 - e6) / e6 < 0.01
+    e4 = sf.l2_error(msh, dm, U, lambda x, y: spec.exact(x, y, 1.0))
+    monkeypatch.setattr(fem, "_RULE", conical_rule(5))
+    e9 = sf.l2_error(msh, dm, U, lambda x, y: spec.exact(x, y, 1.0))
+    assert abs(e9 - e4) / e4 < 0.01
+
+
+def test_error_norm_rule_is_converged_on_the_graded_mixed_mesh(monkeypatch, assembled_cache):
+    # the rate study of Example 2 on gamma=3 meshes reads errors near 1e-4:
+    # a degree-9 rule moves them by 3.4e-6 relative here
+    spec = sf.example2(0.5)
+    msh, dm, M, S = assembled_cache(2 ** -5, 3.0, fem.MIXED, spec.K)
+    U = sf.inverse_laplace_evolve(spec, msh, dm, M, S, 1.0, 8)
+    e4 = sf.l2_error(msh, dm, U, lambda x, y: spec.exact(x, y, 1.0))
+    monkeypatch.setattr(fem, "_RULE", conical_rule(5))
+    e9 = sf.l2_error(msh, dm, U, lambda x, y: spec.exact(x, y, 1.0))
+    assert abs(e9 - e4) / e9 < 1e-4
 
 
 def test_time_uniformity_for_smooth_data(assembled_cache):

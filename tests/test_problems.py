@@ -175,8 +175,7 @@ def test_example2_exact_decay_factor():
     assert spec.fhat is None
 
 
-def test_example2_rayleigh_quotient_approaches_one(monkeypatch, assembled_cache):
-    monkeypatch.setattr(fem, "_LOAD_DEGREE", 6)
+def test_example2_rayleigh_quotient_approaches_one(assembled_cache):
     spec = sf.example2(0.5)
     defects = []
     for h_star in (2 ** -3, 2 ** -4, 2 ** -5):
@@ -188,9 +187,8 @@ def test_example2_rayleigh_quotient_approaches_one(monkeypatch, assembled_cache)
     assert defects[2] < 5e-3
 
 
-def test_projection_consistent_with_nodal_values(monkeypatch, assembled_cache):
+def test_projection_consistent_with_nodal_values(assembled_cache):
     # away from the corner the L2 projection agrees with vertex samples to O(h^2)
-    monkeypatch.setattr(fem, "_LOAD_DEGREE", 6)
     spec = sf.example2(0.5)
     for h_star in (2 ** -4, 2 ** -5):
         msh, dm, M, S = assembled_cache(h_star, 1.0, fem.MIXED, spec.K)

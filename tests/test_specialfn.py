@@ -167,6 +167,24 @@ def test_first_bessel_zeros():
         assert sfn.bessel_j(nu, z - 0.05) > 0  # first zero, not a later one
 
 
+def test_first_bessel_zeros_are_these_doubles():
+    # Examples 1 and 2 take K from these zeros, so a faster series or
+    # bisection must not move them by an ulp
+    got = {nu: sfn.first_bessel_zero.__wrapped__(nu).hex() for nu in FIRST_ZEROS}
+    assert got == {0.25: "0x1.63f421023401cp+1", 1.0 / 3.0: "0x1.7387f23962940p+1",
+                   0.5: "0x1.921fb54442d19p+1", 2.0 / 3.0: "0x1.b0140286ac958p+1",
+                   1.0: "0x1.ea75575af6f0ap+1", 1.5: "0x1.1f940543506aep+2",
+                   2.0: "0x1.48ae0929c0e50p+2"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.floats(0.0, 2.0), xs=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=8))
+def test_bessel_scalar_values_are_the_array_entries(nu, xs):
+    # a scalar argument is summed in float arithmetic, an array in numpy
+    got = sfn.bessel_j(nu, np.array(xs))
+    assert got.tolist() == [sfn.bessel_j(nu, x) for x in xs]
+
+
 def test_import_does_not_load_scipy_optimize():
     # the zero finder bisects the package's own Bessel series, so importing
     # the package leaves scipy.optimize and the modules it pulls in unloaded
