@@ -50,7 +50,8 @@ whole graded mesh.  :func:`field_values` is the one place a field is
 evaluated at quadrature points and its shape and finiteness checked.
 Every quadrature-point and reduction kernel is a single 2-D matrix
 product, which BLAS runs far faster than the equivalent three-operand
-einsum.
+einsum.  Loads, error norms, mass and stiffness all read the element
+areas that the mesh keeps as ``Mesh.areas``.
 
 Mass and stiffness are summed on the mesh, as load vectors are, and
 restricted to the free dofs once.  :func:`_assemble` adds the element
@@ -59,12 +60,12 @@ off-diagonal entries), with the edges that ``Mesh.triangle_edges``
 numbers once per mesh, in blocks of ``_INTEGRATE_BLOCK`` elements, so no
 array holds the 9 entries of every element.  :func:`_p1_pattern`, the one
 place the assembly reads the free mask and numbers the free vertices,
-keeps the edges between two free dofs and lets scipy's COO-to-CSR
-conversion lay out the int32 CSR arrays, each entry carrying the number
-of the vertex or edge sum it gathers.  M and S carry equal index
-arrays, and :func:`solve_complex_symmetric`, which takes only such pairs,
-forms each contour-node matrix ``z^a M + S`` as one complex data array on
-M's index arrays instead of a sparse sum.
+keeps the edges whose ``Mesh.edges`` endpoints are both free and lets
+scipy's COO-to-CSR conversion lay out the int32 CSR arrays, each entry
+carrying the number of the vertex or edge sum it gathers.  M and S carry
+equal index arrays, and :func:`solve_complex_symmetric`, which takes only
+such pairs, forms each contour-node matrix ``z^a M + S`` as one complex
+data array on M's index arrays instead of a sparse sum.
 
 Assembled matrices are immutable in practice (never modified after return)
 and each solve factors its own copy, so concurrent solves against shared
@@ -84,7 +85,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, _edge_vectors, _edge_areas, triangle_areas
+from .mesh import EDGE_ARC, EDGE_THETA0, Mesh, _edge_vectors
 
 DIRICHLET = "dirichlet"
 MIXED = "mixed"
@@ -179,13 +180,12 @@ def unconstrained_dofmap(mesh: Mesh) -> DofMap:
 
 
 def element_geometry(mesh: Mesh):
-    """Per-element areas and constant P1 basis gradients."""
+    """Per-element areas (``Mesh.areas``) and constant P1 basis gradients."""
     e = _edge_vectors(mesh)
-    areas = _edge_areas(e)
     # grad of barycentric i is the inward normal of the opposite edge / 2A
     grads = np.stack([-e[..., 1], e[..., 0]], axis=2)
-    grads /= 2.0 * areas[:, None, None]
-    return areas, grads
+    grads /= 2.0 * mesh.areas[:, None, None]
+    return mesh.areas, grads
 
 
 def _check_dofmap(mesh: Mesh, dofmap: DofMap) -> None:
@@ -203,20 +203,15 @@ def _p1_pattern(mesh: Mesh, dofmap: DofMap):
     holds i and every free dof that shares an element edge with it.
     ``src`` names the sum of :func:`_assemble` that each CSR entry reads:
     sum v of vertex v on the diagonal, and sum nv + e of mesh edge e
-    (numbered by ``Mesh.triangle_edges``) at both entries of the edge.
-    This is the one place the assembly reads the free mask and numbers the
-    free dofs.  The CSR arrays come from scipy's COO-to-CSR conversion of
-    these sum numbers; as each edge appears once, it sums nothing and only
-    sorts.
+    (numbered by ``Mesh.triangle_edges``, with endpoints ``Mesh.edges``)
+    at both entries of the edge.  This is the one place the assembly reads
+    the free mask and numbers the free dofs.  The CSR arrays come from
+    scipy's COO-to-CSR conversion of these sum numbers; as each edge
+    appears once, it sums nothing and only sorts.
     """
-    free, edge = dofmap.free, mesh.triangle_edges
-    ends = np.empty((2, int(edge.max(initial=-1)) + 1), dtype=np.int32)  # each edge's vertices
-    for c in range(3):
-        ends[0, edge[:, c]] = mesh.triangles[:, (c + 1) % 3]
-        ends[1, edge[:, c]] = mesh.triangles[:, (c + 2) % 3]
+    free, ends = dofmap.free, mesh.edges
     edge_sum = np.flatnonzero(free[ends].all(axis=0)).astype(np.int32)  # edges between free dofs
     a, b = (np.cumsum(free, dtype=np.int32) - 1)[ends[:, edge_sum]]
-    del ends  # a whole-mesh temporary, freed before the layout
     edge_sum += mesh.n_vertices
     n = dofmap.n_dofs
     rows = np.arange(n, dtype=np.int32)
@@ -249,7 +244,7 @@ def _assemble(mesh: Mesh, dofmap: DofMap, local: Callable) -> sp.csr_array:
     _check_dofmap(mesh, dofmap)
     indptr, indices, src = _p1_pattern(mesh, dofmap)
     nv, edge = mesh.n_vertices, mesh.triangle_edges
-    sums = np.zeros(nv + int(edge.max(initial=-1)) + 1)  # per mesh vertex, then per mesh edge
+    sums = np.zeros(nv + mesh.edges.shape[1])  # per mesh vertex, then per mesh edge
     for start in range(0, mesh.n_triangles, _INTEGRATE_BLOCK):
         block = slice(start, start + _INTEGRATE_BLOCK)
         entries = local(block)
@@ -266,9 +261,8 @@ _MASS_BLOCK = np.array([[2.0, 1.0, 1.0],
 
 def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_array:
     """Mass matrix M_ij = integral of phi_i phi_j over the free basis."""
-    areas = triangle_areas(mesh)
     entries = _MASS_BLOCK[_ROWS, _COLS]
-    return _assemble(mesh, dofmap, lambda block: areas[block, None] * entries)
+    return _assemble(mesh, dofmap, lambda block: mesh.areas[block, None] * entries)
 
 
 def assemble_stiffness(mesh: Mesh, dofmap: DofMap, K: float) -> sp.csr_array:
@@ -373,12 +367,11 @@ def integrate(mesh: Mesh, integrand: Callable) -> float:
     ``_INTEGRATE_BLOCK`` elements of a group; the group's per-element sums
     are then reduced with one dot product.
     """
-    areas = triangle_areas(mesh)
     total = 0.0
     for ids, pts, w in element_quad_points(mesh):
         per_element = [integrand(block, pts, x, y) @ w
                        for block, x, y in _blocks(mesh, ids, pts)]
-        total += float(areas[ids] @ np.concatenate(per_element))
+        total += float(mesh.areas[ids] @ np.concatenate(per_element))
     return total
 
 
@@ -392,7 +385,6 @@ def assemble_load(mesh: Mesh, dofmap: DofMap, g: Callable) -> np.ndarray:
     a vector over all vertices in element order; the load vector is its
     restriction to the free vertices.
     """
-    areas = triangle_areas(mesh)
     _check_dofmap(mesh, dofmap)
     out = np.zeros(mesh.n_vertices)
     for ids, pts, w in element_quad_points(mesh):
@@ -402,7 +394,7 @@ def assemble_load(mesh: Mesh, dofmap: DofMap, g: Callable) -> np.ndarray:
             if vals.dtype.kind == "c" and out.dtype.kind != "c":
                 out = out.astype(complex)
             # b_e[i] = area * sum_q w_q g(x_q) lambda_i(x_q)
-            be = areas[block, None] * (vals @ wpts)
+            be = mesh.areas[block, None] * (vals @ wpts)
             np.add.at(out, mesh.triangles[block].ravel(), be.ravel())
     return out[dofmap.free]
 

@@ -17,9 +17,10 @@ whose line count is not the one its header promises.
 Mesh values are checked on construction (indices, boundary tags,
 orientation, conformity), then immutable (the mesh keeps read-only
 copies of the vertex/triangle arrays, taken after the checks, so the
-caller's stay writeable) and safe to share across threads.  The
-conformity check numbers the undirected edges, and the mesh keeps that
-numbering as ``Mesh.triangle_edges`` for the assembly's edge sums.
+caller's stay writeable) and safe to share across threads.  The mesh
+keeps what its checks compute for the P1 integrals and assembly: the
+orientation check's areas as ``Mesh.areas``, and the conformity check's
+edge numbering and endpoints as ``Mesh.triangle_edges`` and ``Mesh.edges``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class Mesh:
         ``repr``): entry c numbers the edge joining vertices c+1 and c+2;
         the edges are numbered 0..ne-1 in order of ``lo * nv + hi``.  It
         serves the conformity check and the assembly's edge sums.
+    edges : (2, ne) int32 array, derived: column k is edge k's ``(lo, hi)``.
+    areas : (nt,) float array, derived: signed triangle areas, all positive.
 
     Meshes compare and hash by identity, as array fields cannot be
     compared with ``==`` as one truth value.
@@ -68,6 +71,8 @@ class Mesh:
     gamma: float
     h_star: float
     triangle_edges: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    areas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the checks read the caller's arrays; the frozen copies come after them
@@ -95,16 +100,22 @@ class Mesh:
         if nonfinite.size:
             k = int(nonfinite[0])
             raise ValueError(f"vertex {k} has non-finite coordinates {self.vertices[k].tolist()}")
-        flipped = np.flatnonzero(triangle_areas(self) <= 0)
+        # half of e1 x e2 for the edge vectors e1 = v0 - v2 and e2 = v1 - v0
+        x, y = self.vertices[:, 0][self.triangles], self.vertices[:, 1][self.triangles]
+        object.__setattr__(self, "areas", 0.5 * ((x[:, 0] - x[:, 2]) * (y[:, 1] - y[:, 0])
+                                                 - (y[:, 0] - y[:, 2]) * (x[:, 1] - x[:, 0])))
+        del x, y
+        flipped = np.flatnonzero(self.areas <= 0)
         if flipped.size:
             k = int(flipped[0])
             raise ValueError(f"triangle {k} with vertices {self.triangles[k].tolist()} at "
                              f"{self.vertices[self.triangles[k]].tolist()} is clockwise or "
                              "degenerate (signed area <= 0)")
-        object.__setattr__(self, "triangle_edges", _check_conformity(self))
+        for name, value in zip(("triangle_edges", "edges"), _check_conformity(self)):
+            object.__setattr__(self, name, value)
         for name in ("vertices", "triangles"):
             object.__setattr__(self, name, np.array(getattr(self, name), order="C"))
-        for name in ("vertices", "triangles", "triangle_edges"):
+        for name in ("vertices", "triangles", "triangle_edges", "edges", "areas"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -116,14 +127,14 @@ class Mesh:
         return self.triangles.shape[0]
 
 
-def _check_conformity(mesh: Mesh) -> np.ndarray:
+def _check_conformity(mesh: Mesh):
     """Number the undirected edges; raise ValueError unless they form a conforming mesh.
 
     Each edge must lie in at most two triangles, and the edges that lie in
     exactly one must be the tagged ``boundary_edges``, each tagged once.
     Edges are compared as one int64 key ``lo * nv + hi`` and numbered in
     key order by one stable sort of the 3*nt element edges' keys.  Returns
-    the ``Mesh.triangle_edges`` array (nt, 3).
+    the ``Mesh.triangle_edges`` (nt, 3) and ``Mesh.edges`` (2, ne) arrays.
     """
     nv = mesh.n_vertices
     a, b = mesh.triangles[:, [1, 2, 0]], mesh.triangles[:, [2, 0, 1]]  # edge c's ends
@@ -166,7 +177,8 @@ def _check_conformity(mesh: Mesh) -> np.ndarray:
                              "shared by two triangles")
         raise ValueError(f"boundary edge ({key // nv}, {key % nv}) is not an edge of "
                          "any triangle")
-    return number
+    del keys, first, start, counts  # the sort's temporaries, freed before the endpoints
+    return number, np.array([edges // nv, edges % nv], dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -369,16 +381,6 @@ def triangle_origin_distances(mesh: Mesh) -> np.ndarray:
     d = np.linalg.norm(closest, axis=1).reshape(-1, 3).min(axis=1)
     d[inside] = 0.0
     return d
-
-
-def _edge_areas(e: np.ndarray) -> np.ndarray:
-    """Signed area of every triangle from its :func:`_edge_vectors` ``e``: half of e1 x e2."""
-    return 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
-
-
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Signed area of every triangle (positive for CCW orientation)."""
-    return _edge_areas(_edge_vectors(mesh))
 
 
 def verify_grading(mesh: Mesh) -> GradingReport:

@@ -79,6 +79,8 @@ def test_solve_command_rejects_wrong_bc(tmp_path, capsys):
     (["mesh", "--hstar", "2^-2", "--gamma", "nan"], "gamma must be finite and >= 1"),
     (["solve", "--example", "2", "--hstar", "2^-2", "--t", "inf"],
      "target time must be positive and finite"),
+    (["solve", "--example", "2", "--M", "100", "--hstar", "2^-2"],
+     "M must be an integer in [2, 32]"),
 ])
 def test_parameter_errors_exit_with_usage_message(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import sectorfem as sf
 from sectorfem import fem
 from sectorfem.contour import make_contour
-from sectorfem.mesh import EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh, triangle_areas
+from sectorfem.mesh import EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh
 from conftest import conical_rule, smallest_eigenpairs, traced_peak_mb
 
 BETA = 2.0 / 3.0
@@ -33,7 +33,7 @@ def single_triangle(p0, p1, p2):
 
 def test_mass_block_single_triangle():
     msh = single_triangle((0.2, 0.1), (1.1, 0.3), (0.4, 0.9))
-    area = triangle_areas(msh)[0]
+    area = msh.areas[0]
     M = fem.assemble_mass(msh, fem.unconstrained_dofmap(msh)).toarray()
     expect = area / 12.0 * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=float)
     assert np.max(np.abs(M - expect)) < 1e-14
@@ -114,14 +114,21 @@ def finest_operators(mesh_cache):
 # COO arrays the two assemblies peaked at 21.1 and 23.7 MB, with sums per
 # free dof and an (nt, 6) table of each element entry's sum at 5.5 and
 # 7.7 MB, and with a sparse sum for z^a M + S one node solve at 12.3 MB.
+# With the element areas derived again at each call, the mass and
+# stiffness assemblies peaked at 4.6 and 6.8 MB and a load at 4.4 MB.
 def test_mass_assembly_peak_memory_on_the_finest_mesh(finest_operators):
-    msh, dm, _, _ = finest_operators  # 4.6 MB measured
+    msh, dm, _, _ = finest_operators  # 4.2 MB measured
     assert traced_peak_mb(lambda: fem.assemble_mass(msh, dm)) <= 5.7
 
 
 def test_stiffness_assembly_peak_memory_on_the_finest_mesh(finest_operators):
-    msh, dm, _, _ = finest_operators  # 6.8 MB measured
+    msh, dm, _, _ = finest_operators  # 6.4 MB measured
     assert traced_peak_mb(lambda: fem.assemble_stiffness(msh, dm, 1.0)) <= 8.5
+
+
+def test_load_peak_memory_on_the_finest_mesh(finest_operators):
+    msh, dm, _, _ = finest_operators  # 2.4 MB measured for Example 2's u0
+    assert traced_peak_mb(lambda: fem.assemble_load(msh, dm, sf.example2(0.5).u0)) <= 3.0
 
 
 def test_node_solve_peak_memory_on_the_finest_mesh(finest_operators):
@@ -237,7 +244,7 @@ def test_build_dofmap_rejects_an_unknown_bc_kind(mesh_cache):
 def test_mass_row_sums_equal_area(mesh_cache):
     msh = mesh_cache(2 ** -4, 1.5)
     M = fem.assemble_mass(msh, fem.unconstrained_dofmap(msh))
-    assert M.sum() == pytest.approx(triangle_areas(msh).sum(), rel=1e-12)
+    assert M.sum() == pytest.approx(msh.areas.sum(), rel=1e-12)
 
 
 def test_mass_symmetric_positive_diagonal(mesh_cache):
@@ -260,7 +267,7 @@ def test_mass_sums_to_area_and_stiffness_annihilates_constants(beta, h_star, gam
     msh = sf.generate_sector_mesh(beta, h_star, gamma)
     dm = fem.unconstrained_dofmap(msh)
     M = fem.assemble_mass(msh, dm)
-    assert M.sum() == pytest.approx(triangle_areas(msh).sum(), rel=1e-13)
+    assert M.sum() == pytest.approx(msh.areas.sum(), rel=1e-13)
     S = fem.assemble_stiffness(msh, dm, 1.0)
     assert np.max(np.abs(S @ np.ones(msh.n_vertices))) <= 1e-12 * np.max(np.abs(S.data))
 
@@ -288,7 +295,7 @@ def test_dofmap_mixed_frees_theta_max_interior(mesh_cache):
 def test_load_constant_field_sums_to_area(mesh_cache):
     msh = mesh_cache(2 ** -4, 3.0)
     b = fem.assemble_load(msh, fem.unconstrained_dofmap(msh), lambda x, y: np.ones_like(x))
-    assert b.sum() == pytest.approx(triangle_areas(msh).sum(), rel=1e-12)
+    assert b.sum() == pytest.approx(msh.areas.sum(), rel=1e-12)
 
 
 def test_load_sums_to_the_integral_of_its_field(mesh_cache):
@@ -361,7 +368,7 @@ def test_constant_fields_broadcast_over_the_points(mesh_cache):
     assert np.array_equal(fem.assemble_load(msh, dm, lambda x, y: 2.5j),
                           fem.assemble_load(msh, dm, lambda x, y: np.full(x.shape, 2.5j)))
     zero = np.zeros(msh.n_vertices)
-    area = triangle_areas(msh).sum()
+    area = msh.areas.sum()
     assert sf.l2_error(msh, None, zero, lambda x, y: 2.0) == pytest.approx(
         2.0 * math.sqrt(area), rel=1e-12)
     assert sf.h1_seminorm_error(msh, None, zero, lambda x, y: (3.0, 4.0)) == pytest.approx(
@@ -451,7 +458,7 @@ def test_element_quad_points_split_corner_elements_stay_exact():
 def reference_load(msh, dm, g):
     """Three-operand einsum load assembly on whole groups, the reference for assemble_load."""
     coords = msh.vertices[msh.triangles]
-    areas = triangle_areas(msh)
+    areas = msh.areas
     dofs = free_vertex_dofs(dm)[msh.triangles]
     out = np.zeros(dm.n_dofs, dtype=complex)
     for ids, pts, w in fem.element_quad_points(msh):

@@ -14,8 +14,7 @@ import sectorfem as sf
 from sectorfem import mesh as mesh_module
 from sectorfem.contour import make_contour
 from sectorfem.mesh import (EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh,
-                            triangle_areas, triangle_diameters,
-                            triangle_origin_distances)
+                            triangle_diameters, triangle_origin_distances)
 from conftest import traced_peak_mb
 
 BETA = 2.0 / 3.0
@@ -40,7 +39,7 @@ def test_generate_rejects_bad_parameters(bad):
 
 def test_positive_areas_and_origin_vertex(mesh_cache):
     msh = mesh_cache(2 ** -4, 1.5)
-    assert np.all(triangle_areas(msh) > 0)
+    assert np.all(msh.areas > 0)
     assert np.hypot(*msh.vertices[0]) == 0.0
 
 
@@ -63,7 +62,7 @@ def test_conformity(mesh_cache, gamma, h_star):
 
 
 def assert_edge_numbering(msh):
-    """Loop reference for ``Mesh.triangle_edges``."""
+    """Loop reference for ``Mesh.triangle_edges`` and ``Mesh.edges``."""
     numbers = msh.triangle_edges
     assert numbers.dtype == np.int32 and numbers.shape == (msh.n_triangles, 3)
     assert not numbers.flags.writeable
@@ -77,9 +76,13 @@ def assert_edge_numbering(msh):
     assert sorted(holders) == list(range(len(holders)))
     pairs = [holders[number][0] for number in range(len(holders))]
     assert all(p < q for p, q in zip(pairs, pairs[1:]))  # key order lo * nv + hi
+    assert msh.edges.dtype == np.int32 and not msh.edges.flags.writeable
+    assert np.array_equal(msh.edges, np.array(pairs, dtype=np.int32).reshape(-1, 2).T)
     tagged = {tuple(sorted((i, j))) for i, j, _ in msh.boundary_edges}
     assert all(len(held) == (1 if pair in tagged else 2) for pair, held in holders.values())
-    assert np.array_equal(replace(msh).triangle_edges, numbers)
+    rebuilt = replace(msh)
+    assert np.array_equal(rebuilt.triangle_edges, numbers)
+    assert np.array_equal(rebuilt.edges, msh.edges)
 
 
 @pytest.mark.parametrize("beta, h_star, gamma", [(BETA, 2 ** -1, 1.0), (BETA, 2 ** -3, 1.0),
@@ -95,12 +98,24 @@ def test_triangle_edges_of_a_mesh_read_back(tmp_path, mesh_cache):
     sf.write_mesh(msh, path)
     got = sf.read_mesh(path)
     assert_edge_numbering(got)
-    assert np.array_equal(got.triangle_edges, msh.triangle_edges)
+    for name in ("triangle_edges", "edges", "areas"):
+        assert np.array_equal(getattr(got, name), getattr(msh, name))
+        assert not getattr(got, name).flags.writeable
 
 
-def test_triangle_edges_is_derived_not_a_field_to_set():
-    (f,) = [f for f in fields(Mesh) if f.name == "triangle_edges"]
+@pytest.mark.parametrize("name", ["triangle_edges", "edges", "areas"])
+def test_triangle_edges_is_derived_not_a_field_to_set(name):
+    (f,) = [f for f in fields(Mesh) if f.name == name]
     assert (f.init, f.repr, f.compare) == (False, False, False)
+
+
+@pytest.mark.parametrize("beta, h_star, gamma", [(BETA, 2 ** -3, 1.0), (BETA, 2 ** -5, 3.0),
+                                                 (0.55, 2 ** -4, 1.5)])
+def test_areas_are_the_edge_vector_cross_product(beta, h_star, gamma):
+    msh = sf.generate_sector_mesh(beta, h_star, gamma)
+    e = mesh_module._edge_vectors(msh)
+    cross = 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
+    assert msh.areas.dtype == cross.dtype and np.array_equal(msh.areas, cross)
 
 
 def test_mesh_dofmap_and_contour_compare_and_hash_by_identity():
@@ -113,9 +128,10 @@ def test_mesh_dofmap_and_contour_compare_and_hash_by_identity():
         assert len({a, b}) == 2
     steeper = replace(msh, gamma=3.0)
     assert steeper.gamma == 3.0 and steeper != msh
-    assert steeper.triangle_edges is not msh.triangle_edges  # rebuilt, not shared
-    assert np.array_equal(steeper.triangle_edges, msh.triangle_edges)
-    assert not steeper.triangle_edges.flags.writeable
+    for name in ("triangle_edges", "edges", "areas"):
+        assert getattr(steeper, name) is not getattr(msh, name)  # rebuilt, not shared
+        assert np.array_equal(getattr(steeper, name), getattr(msh, name))
+        assert not getattr(steeper, name).flags.writeable
 
 
 def test_mesh_freezes_copies_not_the_callers_arrays(mesh_cache):
@@ -404,7 +420,7 @@ def test_shape_regularity_circum_to_inradius(mesh_cache):
     a = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
     b = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
     c = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-    area = triangle_areas(msh)
+    area = msh.areas
     s = 0.5 * (a + b + c)
     ratio = (a * b * c / (4.0 * area)) / (area / s)
     assert ratio.max() <= 10.0
@@ -425,7 +441,7 @@ def test_triangle_count_at_least_triples(mesh_cache):
 def test_area_consistency(mesh_cache):
     target = 0.5 * math.pi / BETA
     for h_star in (2 ** -3, 2 ** -4, 2 ** -5):
-        defect = target - triangle_areas(mesh_cache(h_star, 1.5)).sum()
+        defect = target - mesh_cache(h_star, 1.5).areas.sum()
         assert 0.0 < defect <= h_star ** 2
 
 
