@@ -93,7 +93,11 @@ def _run(args) -> int:
     if args.command == "solve":
         msh = generate_sector_mesh(spec.beta, args.hstar, args.gamma)
         dofmap = fem.build_dofmap(msh, spec.bc_kind)
-        uh, _ = harness.solve_spec(spec, msh, dofmap, args.t, args.M)
+        try:
+            uh, _ = harness.solve_spec(spec, msh, dofmap, args.t, args.M)
+        except fem.SolverError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         values = dofmap.expand(uh)
         with open(args.out, "w") as fh:
             fh.write("x,y,value\n")

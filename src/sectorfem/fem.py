@@ -58,14 +58,14 @@ restricted to the free dofs once.  :func:`_assemble` adds the element
 matrices per mesh vertex (the diagonal) and per mesh edge (both
 off-diagonal entries), with the edges that ``Mesh.triangle_edges``
 numbers once per mesh, in blocks of ``_INTEGRATE_BLOCK`` elements, so no
-array holds the 9 entries of every element.  :func:`_p1_pattern`, the one
-place the assembly reads the free mask and numbers the free vertices,
-keeps the edges whose ``Mesh.edges`` endpoints are both free and lets
-scipy's COO-to-CSR conversion lay out the int32 CSR arrays, each entry
-carrying the number of the vertex or edge sum it gathers.  M and S carry
-equal index arrays, and :func:`solve_complex_symmetric`, which takes only
-such pairs, forms each contour-node matrix ``z^a M + S`` as one complex
-data array on M's index arrays instead of a sparse sum.
+array holds the 9 entries of every element.  A :class:`DofMap` holds its
+mesh, free mask and free-dof CSR pattern, laid out once: the edges whose
+``Mesh.edges`` endpoints are both free, each int32 entry carrying the
+number of the vertex or edge sum it gathers.  So the M and S of one dof
+map share their index arrays, and :func:`solve_complex_symmetric` forms
+each contour-node matrix ``z^a M + S`` as one complex data array on M's
+index arrays instead of a sparse sum.  Assembly, loads and error norms
+take a dof map only with the very mesh it was built on.
 
 Assembled matrices are immutable in practice (never modified after return)
 and each solve factors its own copy, so concurrent solves against shared
@@ -74,6 +74,7 @@ matrices are safe.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -121,22 +122,30 @@ class SolverError(RuntimeError):
 class DofMap:
     """The free vertices of a mesh, whose hat functions span the P1 space.
 
-    ``free`` is a 1-D boolean vertex mask, read-only.  The free vertices
+    ``DofMap(mesh, bc_kind)`` frees every vertex for ``none``.  ``dirichlet``
+    constrains every boundary vertex; ``mixed`` constrains the theta=0
+    radial edge and the arc, so vertices strictly inside the theta_max edge
+    stay free.  ``free`` is the read-only vertex mask.  The free vertices
     carry the dofs 0..n_dofs-1 in vertex order, so a vector over the dofs is
-    a vertex vector restricted by ``free`` (``v[free]``), and
-    :meth:`expand` undoes that restriction.  Dof maps compare and hash by
-    identity.
+    a vertex vector restricted by ``free`` (``v[free]``), and :meth:`expand`
+    undoes that restriction.  The CSR pattern of the free-dof P1 matrices is
+    laid out on first use and kept, so every matrix of one dof map shares
+    its index arrays.  Dof maps compare and hash by identity.
     """
 
-    free: np.ndarray
+    mesh: Mesh = field(repr=False)
     bc_kind: str
+    free: np.ndarray = field(init=False)
     n_dofs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        free = np.array(self.free)
-        if free.dtype != bool or free.ndim != 1:
-            raise ValueError(f"free must be a 1-D boolean vertex mask, got dtype {free.dtype} "
-                             f"and shape {free.shape}")
+        if self.bc_kind not in (DIRICHLET, MIXED, "none"):
+            raise ValueError(f"unknown bc_kind {self.bc_kind!r}")
+        free = np.ones(self.mesh.n_vertices, dtype=bool)
+        if self.bc_kind != "none":
+            for i, j, tag in self.mesh.boundary_edges:
+                if self.bc_kind == DIRICHLET or tag in (EDGE_THETA0, EDGE_ARC):
+                    free[i] = free[j] = False
         free.setflags(write=False)
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "n_dofs", int(free.sum()))
@@ -150,21 +159,37 @@ class DofMap:
         full[self.free] = u
         return full
 
+    @functools.cached_property
+    def _pattern(self):
+        """CSR pattern of the free-dof P1 matrices and the mesh sum each entry reads.
+
+        ``(indptr, indices, src)``, all int32.  ``indptr`` and ``indices``
+        are canonical CSR arrays: row i holds i and every free dof that
+        shares an element edge with it.  ``src`` names the sum of
+        :func:`_assemble` that each entry reads: sum v of vertex v on the
+        diagonal, and sum nv + e of mesh edge e (``Mesh.triangle_edges``
+        numbers the edges, ``Mesh.edges`` holds their endpoints) at both
+        entries of the edge.  As each edge appears once, scipy's COO-to-CSR
+        conversion of these sum numbers sums nothing and only sorts.
+        """
+        free, ends = self.free, self.mesh.edges
+        edge_sum = np.flatnonzero(free[ends].all(axis=0)).astype(np.int32)  # edges between free dofs
+        a, b = (np.cumsum(free, dtype=np.int32) - 1)[ends[:, edge_sum]]
+        edge_sum += self.mesh.n_vertices
+        n = self.n_dofs
+        rows = np.arange(n, dtype=np.int32)
+        pattern = sp.coo_array((np.concatenate([np.flatnonzero(free), edge_sum, edge_sum],
+                                               dtype=np.int32),
+                                (np.concatenate([rows, a, b]), np.concatenate([rows, b, a]))),
+                               shape=(n, n)).tocsr()
+        return pattern.indptr, pattern.indices, pattern.data
+
 
 def build_dofmap(mesh: Mesh, bc_kind: str = DIRICHLET) -> DofMap:
-    """The free vertices for the requested boundary conditions.
-
-    ``dirichlet`` constrains every boundary vertex.  ``mixed`` constrains the
-    theta=0 radial edge and the arc; vertices strictly inside the theta_max
-    radial edge stay free (its endpoints are shared with constrained edges).
-    """
+    """The dof map of ``mesh`` for the ``dirichlet`` or ``mixed`` boundary conditions."""
     if bc_kind not in (DIRICHLET, MIXED):
         raise ValueError(f"unknown bc_kind {bc_kind!r}")
-    free = np.ones(mesh.n_vertices, dtype=bool)
-    for i, j, tag in mesh.boundary_edges:
-        if bc_kind == DIRICHLET or tag in (EDGE_THETA0, EDGE_ARC):
-            free[i] = free[j] = False
-    return DofMap(free, bc_kind)
+    return DofMap(mesh, bc_kind)
 
 
 def _check_bc_kind(bc_kind: str, dofmap: DofMap) -> None:
@@ -176,7 +201,7 @@ def _check_bc_kind(bc_kind: str, dofmap: DofMap) -> None:
 
 def unconstrained_dofmap(mesh: Mesh) -> DofMap:
     """Dof map with every vertex free (no boundary conditions applied)."""
-    return DofMap(np.ones(mesh.n_vertices, dtype=bool), "none")
+    return DofMap(mesh, "none")
 
 
 def element_geometry(mesh: Mesh):
@@ -189,37 +214,10 @@ def element_geometry(mesh: Mesh):
 
 
 def _check_dofmap(mesh: Mesh, dofmap: DofMap) -> None:
-    """Raise ValueError unless ``dofmap`` numbers the vertices of ``mesh``."""
-    if dofmap.free.size != mesh.n_vertices:
-        raise ValueError(f"dof map numbers {dofmap.free.size} vertices, "
-                         f"but the mesh has {mesh.n_vertices}")
-
-
-def _p1_pattern(mesh: Mesh, dofmap: DofMap):
-    """CSR pattern of the free-dof P1 matrices and the mesh sum each entry reads.
-
-    Returns ``(indptr, indices, src)``, all int32.  ``indptr`` and
-    ``indices`` are canonical (sorted, duplicate-free) CSR arrays: row i
-    holds i and every free dof that shares an element edge with it.
-    ``src`` names the sum of :func:`_assemble` that each CSR entry reads:
-    sum v of vertex v on the diagonal, and sum nv + e of mesh edge e
-    (numbered by ``Mesh.triangle_edges``, with endpoints ``Mesh.edges``)
-    at both entries of the edge.  This is the one place the assembly reads
-    the free mask and numbers the free dofs.  The CSR arrays come from
-    scipy's COO-to-CSR conversion of these sum numbers; as each edge
-    appears once, it sums nothing and only sorts.
-    """
-    free, ends = dofmap.free, mesh.edges
-    edge_sum = np.flatnonzero(free[ends].all(axis=0)).astype(np.int32)  # edges between free dofs
-    a, b = (np.cumsum(free, dtype=np.int32) - 1)[ends[:, edge_sum]]
-    edge_sum += mesh.n_vertices
-    n = dofmap.n_dofs
-    rows = np.arange(n, dtype=np.int32)
-    pattern = sp.coo_array((np.concatenate([np.flatnonzero(free), edge_sum, edge_sum],
-                                           dtype=np.int32),
-                            (np.concatenate([rows, a, b]), np.concatenate([rows, b, a]))),
-                           shape=(n, n)).tocsr()
-    return pattern.indptr, pattern.indices, pattern.data
+    """Raise ValueError unless ``dofmap`` is built on ``mesh`` itself."""
+    if dofmap.mesh is not mesh:
+        raise ValueError(f"dof map is built for another mesh: the dof map numbers "
+                         f"{dofmap.mesh.n_vertices} vertices, but the mesh has {mesh.n_vertices}")
 
 
 # The entries (i, j) of an element matrix that _assemble sums: the
@@ -239,10 +237,11 @@ def _assemble(mesh: Mesh, dofmap: DofMap, local: Callable) -> sp.csr_array:
     names; both off-diagonal entries of an edge read one sum, so the matrix
     is exactly symmetric.  The matrix keeps the pattern's int32 index
     arrays, which halves the index arrays of the matrix and of every node
-    matrix formed from it; SuperLU takes int32 indices too.
+    matrix formed from it; SuperLU takes int32 indices too.  The index
+    arrays are the dof map's own, so every matrix of one dof map shares them.
     """
     _check_dofmap(mesh, dofmap)
-    indptr, indices, src = _p1_pattern(mesh, dofmap)
+    indptr, indices, src = dofmap._pattern
     nv, edge = mesh.n_vertices, mesh.triangle_edges
     sums = np.zeros(nv + mesh.edges.shape[1])  # per mesh vertex, then per mesh edge
     for start in range(0, mesh.n_triangles, _INTEGRATE_BLOCK):

@@ -17,7 +17,7 @@ so ProblemSpec values can be evaluated concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -64,17 +64,18 @@ class ProblemSpec:
     ``u0(x, y)`` is the initial data, ``fhat(z)`` maps a Laplace variable to
     the transformed source as a pointwise (complex) field, or is None for a
     homogeneous problem, and ``exact(x, y, t)`` evaluates the solution.
-    The parameters are checked on construction, ``dataclasses.replace``
-    included, but ``replace`` does not rebuild a builder's fields, which
-    close over its alpha, beta and K: a replaced one silently decouples the
-    solve from ``exact``.  Call the builder again for another alpha.
+    The parameters are checked and K, ``normalize_K(beta, bc_kind)``, is
+    derived on construction, ``dataclasses.replace`` included, but
+    ``replace`` does not rebuild a builder's fields, which close over its
+    alpha, beta and K: a replaced one silently decouples the solve from
+    ``exact``.  Call the builder again for another alpha.
     """
 
     label: str
     alpha: float
     beta: float
     bc_kind: str
-    K: float
+    K: float = field(init=False)
     u0: Callable
     fhat: Callable | None
     exact: Callable
@@ -84,26 +85,27 @@ class ProblemSpec:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.5 < self.beta < 1:
             raise ValueError(f"beta must lie in (1/2, 1), got {self.beta}")
-        if not 0 < self.K < math.inf:
-            raise ValueError(f"diffusivity K must be positive and finite, got {self.K}")
-        if self.bc_kind not in (DIRICHLET, MIXED):
-            raise ValueError(f"unknown bc_kind {self.bc_kind!r}")
         if self.fhat is not None and not callable(self.fhat):
             raise ValueError(f"fhat must be None or callable, got {self.fhat!r}")
+        # normalize_K also rejects an unknown bc_kind
+        object.__setattr__(self, "K", normalize_K(self.beta, self.bc_kind))
 
 
 @dataclass(frozen=True)
 class EllipticSpec:
-    """Static problem -K*Laplace(u) = f with homogeneous Dirichlet data."""
+    """Static problem -K*Laplace(u) = f, homogeneous Dirichlet data, K from ``normalize_K``."""
 
     bc_kind: ClassVar[str] = DIRICHLET  # not a field: every elliptic spec is Dirichlet
 
     label: str
     beta: float
-    K: float
+    K: float = field(init=False)
     f: Callable
     exact: Callable
     exact_grad: Callable
+
+    def __post_init__(self):
+        object.__setattr__(self, "K", normalize_K(self.beta, self.bc_kind))
 
 
 def _polar(x, y):
@@ -176,7 +178,7 @@ def example1(alpha: float) -> ProblemSpec:
 
     fhat = SeparableSource(((lambda z: z ** -alpha, g),
                             (lambda z: z ** -alpha + z ** (-2.0 * alpha), Ag)))
-    return ProblemSpec("example1", alpha, beta, DIRICHLET, K, g, fhat, exact)
+    return ProblemSpec("example1", alpha, beta, DIRICHLET, g, fhat, exact)
 
 
 def example2(alpha: float) -> ProblemSpec:
@@ -188,7 +190,6 @@ def example2(alpha: float) -> ProblemSpec:
     factor ``E_alpha(-t**alpha)``.
     """
     beta = _BETA
-    K = normalize_K(beta, MIXED)
     w = first_bessel_zero(beta / 2)
 
     def u0(x, y):
@@ -198,7 +199,7 @@ def example2(alpha: float) -> ProblemSpec:
     def exact(x, y, t):
         return mittag_leffler_neg(alpha, t ** alpha) * u0(x, y)
 
-    return ProblemSpec("example2", alpha, beta, MIXED, K, u0, None, exact)
+    return ProblemSpec("example2", alpha, beta, MIXED, u0, None, exact)
 
 
 def elliptic_singular() -> EllipticSpec:
@@ -221,4 +222,4 @@ def elliptic_singular() -> EllipticSpec:
         ct, st = np.cos(theta), np.sin(theta)
         return dur * ct - dut_over_r * st, dur * st + dut_over_r * ct
 
-    return EllipticSpec("elliptic_singular", beta, K, f, g, exact_grad)
+    return EllipticSpec("elliptic_singular", beta, f, g, exact_grad)

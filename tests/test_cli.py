@@ -107,6 +107,18 @@ def test_converge_command_prints_why_a_row_failed(monkeypatch, tmp_path, capsys)
     assert lines[2].split(",")[2:] == ["nan", ""]
 
 
+def test_solve_command_reports_a_failed_solve(monkeypatch, tmp_path, capsys):
+    # a SolverError ends the command with exit status 1 and its message, no traceback
+    failing_on_finest_mesh(monkeypatch, sf.example2(0.5), 1.0, [2 ** -2])
+    out = tmp_path / "sol.csv"
+    assert main(["solve", "--example", "2", "--hstar", "2^-2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: contour node j=0 (z=")
+    assert captured.err.endswith("exceeds 1e-10\n")
+    assert not out.exists()
+
+
 def test_converge_command(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert main(["converge", "--example", "elliptic", "--gamma", "1",

@@ -65,8 +65,17 @@ def test_problem_spec_rejects_beta_outside_half_to_one(beta):
 
 @pytest.mark.parametrize("K", [0.0, -1.0, math.inf, math.nan])
 def test_problem_spec_rejects_nonpositive_or_nonfinite_K(K):
-    with pytest.raises(ValueError, match="K must be positive and finite"):
-        dataclasses.replace(sf.example1(0.5), K=K)
+    # K is derived from beta and bc_kind, so no value of it, good or bad, can be set
+    for spec in (sf.example1(0.5), sf.example2(0.5), sf.elliptic_singular()):
+        assert spec.K == sf.normalize_K(spec.beta, spec.bc_kind)
+        with pytest.raises(ValueError, match="K is declared with init=False"):
+            dataclasses.replace(spec, K=K)
+
+
+def test_a_replaced_beta_recomputes_K():
+    spec = sf.example2(0.5)
+    other = dataclasses.replace(spec, beta=0.75)
+    assert other.K == sf.normalize_K(0.75, fem.MIXED) != spec.K
 
 
 def test_problem_spec_rejects_unknown_bc_kind():
