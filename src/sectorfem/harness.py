@@ -22,7 +22,7 @@ from . import fem
 from .contour import inverse_laplace_evolve
 from .fem import DofMap, SolverError, build_dofmap
 from .mesh import Mesh, generate_sector_mesh
-from .problems import EllipticSpec
+from .problems import EllipticSpec, _corner_order
 
 
 @dataclass
@@ -55,7 +55,11 @@ class ConvergenceReport:
 
 def _element_values(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray) -> np.ndarray:
     """(nt, 3) nodal values of u_h per element; with no ``dofmap``, ``uh`` is per vertex."""
-    dofmap = dofmap or fem.unconstrained_dofmap(mesh)
+    if dofmap is None:
+        uh = np.asarray(uh)
+        if uh.shape != (mesh.n_vertices,):
+            raise ValueError(f"expected {mesh.n_vertices} vertex values, got shape {uh.shape}")
+        return uh[mesh.triangles]
     fem._check_dofmap(mesh, dofmap)
     return dofmap.expand(uh)[mesh.triangles]
 
@@ -93,10 +97,10 @@ def h1_seminorm_error(mesh: Mesh, dofmap: DofMap | None, uh: np.ndarray,
 
 
 def _corner_exponent(gamma: float, beta: float, bc_kind: str) -> float | None:
-    """The corner exponent (beta/2 for mixed conditions), None when gamma is at 1/exponent."""
-    exponent = beta if bc_kind == fem.DIRICHLET else beta / 2.0
-    threshold = 1.0 / exponent
-    return None if abs(gamma - threshold) <= 1e-12 * threshold else exponent
+    """The corner order nu of ``bc_kind``, None when gamma is at the threshold 1/nu."""
+    nu = _corner_order(beta, bc_kind)
+    threshold = 1.0 / nu
+    return None if abs(gamma - threshold) <= 1e-12 * threshold else nu
 
 
 def _epsilon_cases(h: float, gamma: float, beta: float, bc_kind: str) -> float:

@@ -117,19 +117,27 @@ def _polar(x, y):
     return r, theta
 
 
+def _corner_order(beta: float, bc_kind: str) -> float:
+    """Order nu of the corner singularity r**nu sin(nu theta) of the first eigenfunction.
+
+    nu is beta under all-Dirichlet conditions and beta/2 under mixed ones
+    (Dirichlet on theta=0 and the arc, Neumann on theta=pi/beta).
+    """
+    if bc_kind == DIRICHLET:
+        return beta
+    if bc_kind == MIXED:
+        return beta / 2
+    raise ValueError(f"unknown bc_kind {bc_kind!r}")
+
+
 def normalize_K(beta: float, bc_kind: str) -> float:
     """Diffusivity making the smallest eigenvalue of -K*Laplace equal 1.
 
     The sector eigenfunctions are J_nu(sqrt(lambda/K) r) times an angular
     factor; the first eigenvalue is K*j^2 with j the first positive zero of
-    J_beta (all-Dirichlet) or J_{beta/2} (Dirichlet on theta=0 and the arc,
-    Neumann on theta=pi/beta).
+    J_nu, nu the corner order of ``bc_kind`` (beta or beta/2).
     """
-    if bc_kind == DIRICHLET:
-        return 1.0 / first_bessel_zero(beta) ** 2
-    if bc_kind == MIXED:
-        return 1.0 / first_bessel_zero(beta / 2) ** 2
-    raise ValueError(f"unknown bc_kind {bc_kind!r}")
+    return 1.0 / first_bessel_zero(_corner_order(beta, bc_kind)) ** 2
 
 
 def _singular_part(beta: float):
@@ -190,11 +198,12 @@ def example2(alpha: float) -> ProblemSpec:
     factor ``E_alpha(-t**alpha)``.
     """
     beta = _BETA
-    w = first_bessel_zero(beta / 2)
+    nu = _corner_order(beta, MIXED)
+    w = first_bessel_zero(nu)
 
     def u0(x, y):
         r, theta = _polar(x, y)
-        return bessel_j(beta / 2, w * r) * np.sin(0.5 * beta * theta)
+        return bessel_j(nu, w * r) * np.sin(nu * theta)
 
     def exact(x, y, t):
         return mittag_leffler_neg(alpha, t ** alpha) * u0(x, y)

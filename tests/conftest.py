@@ -4,6 +4,7 @@ Mesh generation and assembly are deterministic, so expensive objects are
 built once per session and shared read-only across tests.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -85,6 +86,13 @@ def failing_on_finest_mesh(monkeypatch, spec, gamma, hs):
         return original(zalpha, mass, stiffness, b)
 
     monkeypatch.setattr(fem, "solve_complex_symmetric", solve)
+
+
+def fresh_interpreter_env():
+    """Environment in which a fresh interpreter imports this checkout's sectorfem."""
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def conical_rule(n):

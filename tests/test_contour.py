@@ -1,5 +1,6 @@
 """Contour construction, node solves and the folded quadrature sum."""
 
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -392,9 +393,11 @@ def test_evolve_doubling_m_contracts_difference(mixed_system):
     assert np.linalg.norm(U8 - U4) >= 1e3 * np.linalg.norm(U16 - U8)
 
 
-@pytest.mark.parametrize("alpha", (0.05, 0.5, 0.95))
-@pytest.mark.parametrize("t", (0.01, 0.1, 1.0, 5.0, 100.0))
-def test_evolve_stability_in_l2(mixed_system, alpha, t):
+@pytest.mark.parametrize("t, alpha", [
+    *itertools.product((0.01, 0.1, 1.0, 5.0, 100.0), (0.05, 0.5, 0.95)),
+    *itertools.product((1e-8, 1e8), (1e-3, 0.999)),  # alpha near 0 and 1, t small and large
+])
+def test_evolve_stability_in_l2(mixed_system, t, alpha):
     # Example 2's K does not depend on alpha, so its operators serve every alpha
     _, msh, dm, M, S = mixed_system
     spec = sf.example2(alpha)

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -20,7 +19,7 @@ import sectorfem as sf
 from sectorfem import fem
 from sectorfem.contour import make_contour
 from sectorfem.mesh import EDGE_ARC, EDGE_THETA0, EDGE_THETA_MAX, Mesh
-from conftest import conical_rule, smallest_eigenpairs, traced_peak_mb
+from conftest import conical_rule, fresh_interpreter_env, smallest_eigenpairs, traced_peak_mb
 
 BETA = 2.0 / 3.0
 
@@ -911,13 +910,10 @@ print(json.dumps({"loaded": loaded, "shared": shared}))
 
 def _footprint_run(tmp_path, *fallback):
     """Run _FOOTPRINT_SCRIPT in a fresh process; returns its report and its solution."""
-    src = os.path.dirname(os.path.dirname(sf.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "uh.npy"
     run = subprocess.run([sys.executable, "-W", "error", "-c", _FOOTPRINT_SCRIPT, str(out),
-                          *fallback], env=env, capture_output=True, text=True, check=True,
-                         timeout=120)
+                          *fallback], env=fresh_interpreter_env(), capture_output=True,
+                         text=True, check=True, timeout=120)
     return json.loads(run.stdout), np.load(out)
 
 
@@ -955,11 +951,8 @@ from scipy.sparse.linalg._dsolve import _superlu
 assert _superlu is fem._superlu
 assert isinstance(spla.splu(sp.eye_array(3, format="csc")), fem._superlu.SuperLU)
 """
-    src = os.path.dirname(os.path.dirname(sf.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-W", "error", "-c", script], env=env, check=True,
-                   capture_output=True, timeout=120)
+    subprocess.run([sys.executable, "-W", "error", "-c", script], env=fresh_interpreter_env(),
+                   check=True, capture_output=True, timeout=120)
 
 
 def test_solver_error_carries_residual():

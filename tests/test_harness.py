@@ -38,9 +38,13 @@ def test_l2_error_constant_on_unit_triangle():
 
 
 def test_l2_error_requires_matching_size(mesh_cache):
+    # with no dof map the values are per vertex, and the message says so
     msh = mesh_cache(2 ** -3, 1.0)
-    with pytest.raises(ValueError):
+    message = re.escape(f"expected {msh.n_vertices} vertex values, got shape (3,)")
+    with pytest.raises(ValueError, match=message):
         sf.l2_error(msh, None, np.zeros(3), lambda x, y: x)
+    with pytest.raises(ValueError, match=message):
+        sf.h1_seminorm_error(msh, None, np.zeros(3), lambda x, y: (x, y))
 
 
 def test_l2_error_rejects_vertex_values_with_a_dofmap(mesh_cache):
@@ -327,3 +331,6 @@ def test_predictor_labels():
     assert harness._predictor_label(ell, 1.0) == "L2~h^1.333"
     spec2 = sf.example2(0.5)
     assert "log" in harness._predictor_label(spec2, 3.0)
+    # the corner order is derived in problems, which rejects a kind it does not know
+    with pytest.raises(ValueError, match="unknown bc_kind 'neumann'"):
+        harness._corner_exponent(1.5, spec2.beta, "neumann")

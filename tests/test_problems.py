@@ -24,7 +24,7 @@ def test_normalize_K_values():
     assert sf.normalize_K(BETA, fem.MIXED) == pytest.approx(1 / 2.902586248417 ** 2, rel=1e-10)
     assert sf.normalize_K(BETA, fem.DIRICHLET) == pytest.approx(1 / 3.375610652694 ** 2, rel=1e-10)
     assert sf.normalize_K(BETA, fem.MIXED) == pytest.approx(0.1186942644, abs=1e-9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown bc_kind 'neumann'"):
         sf.normalize_K(BETA, "neumann")
 
 

@@ -1,7 +1,6 @@
 """Special function values against closed forms and high-precision references."""
 
 import math
-import os
 import subprocess
 import sys
 
@@ -11,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-import sectorfem
 from sectorfem import specialfn as sfn
 from sectorfem.contour import laplace_invert_scalar
+from conftest import fresh_interpreter_env
 
 # Frozen from an independent 30-digit series summation; the small-alpha
 # entries, where the float64 series overflows, from a 25-digit quadrature of
@@ -188,12 +187,9 @@ def test_bessel_scalar_values_are_the_array_entries(nu, xs):
 def test_import_does_not_load_scipy_optimize():
     # the zero finder bisects the package's own Bessel series, so importing
     # the package leaves scipy.optimize and the modules it pulls in unloaded
-    src = os.path.dirname(os.path.dirname(sectorfem.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, sectorfem; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
+                         capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
 
 
