@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -144,7 +145,8 @@ def finest_operators(mesh_cache):
 # With the element areas derived again at each call, the mass and
 # stiffness assemblies peaked at 4.6 and 6.8 MB and a load at 4.4 MB; with
 # the pattern laid out again at each assembly, M and S peaked at 4.2 and
-# 6.4 MB.  The dof map here has laid out its pattern already.
+# 6.4 MB, and with complex128 node data a node solve at 3.7 MB.  The dof
+# map here has laid out its pattern already.
 def test_mass_assembly_peak_memory_on_the_finest_mesh(finest_operators):
     msh, dm, _, _ = finest_operators  # 2.24 MB measured
     assert traced_peak_mb(lambda: fem.assemble_mass(msh, dm)) <= 2.8
@@ -161,9 +163,9 @@ def test_load_peak_memory_on_the_finest_mesh(finest_operators):
 
 
 def test_node_solve_peak_memory_on_the_finest_mesh(finest_operators):
-    _, dm, M, S = finest_operators  # 3.7 MB measured, SuperLU's own memory untraced
+    _, dm, M, S = finest_operators  # 2.92 MB measured, SuperLU's own memory untraced
     b = np.ones(dm.n_dofs, dtype=complex)
-    assert traced_peak_mb(lambda: fem.solve_complex_symmetric((2.0 + 3.0j) ** 0.5, M, S, b)) <= 4.6
+    assert traced_peak_mb(lambda: fem.solve_complex_symmetric((2.0 + 3.0j) ** 0.5, M, S, b)) <= 3.6
 
 
 def free_vertex_dofs(dofmap):
@@ -217,12 +219,18 @@ def test_pattern_assembly_matches_coo_reference(h_star, gamma, bc_kind, K, alpha
     with mock.patch.object(fem, "_splu", splu):
         fem.solve_complex_symmetric(za, M, S, np.ones(dm.n_dofs, dtype=complex))
     # SuperLU gets the CSR node matrix as the CSC arrays of its transpose,
-    # formed on M's own index arrays
+    # formed on M's own index arrays, scaled and rounded to single precision
     (A,) = factored
     expect = za * M + S
     assert np.shares_memory(A.indices, M.indices)
     assert np.array_equal(A.indices, expect.indices) and np.array_equal(A.indptr, expect.indptr)
-    assert np.array_equal(A.data, expect.data)
+    assert np.array_equal(A.data, single_precision_node_data(expect.data))
+
+
+def single_precision_node_data(data):
+    """``data`` times the power of two that puts its largest part in [0.5, 1), as complex64."""
+    peak = max(np.abs(data.real).max(), np.abs(data.imag).max())
+    return (data * 2.0 ** -math.frexp(peak)[1]).astype(np.complex64)
 
 
 @settings(max_examples=12, deadline=None)
@@ -676,7 +684,7 @@ def test_project_matches_direct_mass_solve(assembled_cache):
 
 @pytest.mark.parametrize("bc_kind", [fem.DIRICHLET, fem.MIXED])
 @pytest.mark.parametrize("alpha", [0.05, 0.95])
-@pytest.mark.parametrize("t", [1e-3, 1e3])
+@pytest.mark.parametrize("t", [1e-8, 1e-3, 1e3, 1e8])
 def test_solve_complex_every_contour_node_matches_default_lu(assembled_cache, bc_kind,
                                                              alpha, t):
     msh, dm, M, S = assembled_cache(2 ** -3, 3.0, bc_kind, 1.0)
@@ -687,9 +695,9 @@ def test_solve_complex_every_contour_node_matches_default_lu(assembled_cache, bc
         b = complex(z) ** (alpha - 1.0) * data
         x = fem.solve_complex_symmetric(za, M, S, b)
         A = (za * M + S).astype(complex)
-        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
         ref = spla.splu(sp.csc_matrix(A)).solve(b)
-        assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+        assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
 def test_solve_complex_every_node_of_a_benchmark_system_matches_default_lu(assembled_cache):
@@ -703,9 +711,9 @@ def test_solve_complex_every_node_of_a_benchmark_system_matches_default_lu(assem
         b = complex(z) ** (spec.alpha - 1.0) * b0
         x = fem.solve_complex_symmetric(za, M, S, b)
         A = za * M + S
-        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
         ref = spla.splu(sp.csc_matrix(A)).solve(b)
-        assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+        assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 3.0])
@@ -721,21 +729,32 @@ def test_solve_real_elliptic_system_matches_default_lu(assembled_cache, gamma):
 
 def test_solve_complex_factors_exactly_the_node_matrix(monkeypatch, assembled_cache):
     msh, dm, M, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
-    factored = []
+    factored, released = [], []
     real_splu = fem._splu
 
+    class LU:
+        def __init__(self, A):
+            self.lu, self.data = real_splu(A), weakref.ref(A.data)
+
+        def solve(self, rhs, trans="N"):
+            released.append(self.data() is None)
+            return self.lu.solve(rhs, trans=trans)
+
     def splu(A):
-        factored.append(A)
-        return real_splu(A)
+        factored.append((A.format, A.T.toarray()))
+        return LU(A)
 
     monkeypatch.setattr(fem, "_splu", splu)
     za = (2.0 + 3.0j) ** 0.5
     fem.solve_complex_symmetric(za, M, S, np.ones(dm.n_dofs, dtype=complex))
-    # SuperLU gets the transpose as a CSC view of the CSR sum, bit for bit
-    (A,) = factored
-    expect = za * M + S
-    assert A.format == "csc" and A.dtype == np.complex128
-    assert np.array_equal(A.T.toarray(), expect.toarray())
+    # SuperLU gets the transpose as a CSC view of the CSR node matrix, whose
+    # data are the complex64 rounding of za M + S scaled by a power of two;
+    # they are released before the first solve
+    ((fmt, A),) = factored
+    assert fmt == "csc" and A.dtype == np.complex64
+    assert np.array_equal(A, single_precision_node_data((za * M + S).toarray()))
+    assert 0.5 <= max(np.abs(A.real).max(), np.abs(A.imag).max()) < 1.0
+    assert released and all(released)
 
 
 def _nonsymmetric_pair(rng):
@@ -768,11 +787,13 @@ def _factor_input(case, assembled_cache):
     if case == "stiffness":  # real SPD, as the elliptic solve factors it
         _, _, _, S = assembled_cache(2 ** -4, 1.5, fem.DIRICHLET, 1.0)
         return sp.csc_array(S.T, copy=True)
-    if case == "node":  # a contour-node matrix on M's pattern
+    if case in ("node", "node-complex64"):  # a contour-node matrix on M's pattern
         _, _, M, S = assembled_cache(2 ** -4, 3.0, fem.MIXED, 1.0)
         za = complex(make_contour(8, 1.0).nodes[3]) ** 0.5
-        return sp.csc_array((M.data * za + S.data, M.indices.copy(), M.indptr.copy()),
-                            shape=M.shape)
+        data = M.data * za + S.data
+        if case == "node-complex64":  # as the node solves factor it
+            data = single_precision_node_data(data)
+        return sp.csc_array((data, M.indices.copy(), M.indptr.copy()), shape=M.shape)
     if case == "nonsymmetric":
         M, S = _nonsymmetric_pair(np.random.default_rng(5))
         return sp.csc_array(((1.5 - 0.5j) * M + S).T)
@@ -792,8 +813,8 @@ def _factor_input(case, assembled_cache):
     return A
 
 
-@pytest.mark.parametrize("case", ["stiffness", "node", "nonsymmetric", "duplicates",
-                                  "int64", "integer"])
+@pytest.mark.parametrize("case", ["stiffness", "node", "node-complex64", "nonsymmetric",
+                                  "duplicates", "int64", "integer"])
 def test_splu_factors_as_the_public_splu(assembled_cache, case):
     # fem reaches SuperLU's gstrf without scipy.sparse.linalg; with the same
     # options it must give splu's factor, on the scipy that is installed
@@ -810,6 +831,7 @@ def test_splu_factors_as_the_public_splu(assembled_cache, case):
     b = rng.standard_normal(ref.shape[0])
     if ref.L.dtype.kind == "c":
         b = b + 1j * rng.standard_normal(b.size)
+    b = b.astype(ref.L.dtype)
     for trans in "NT":
         x = ours.solve(b, trans=trans)
         assert x.dtype == ref.L.dtype and np.array_equal(x, ref.solve(b, trans=trans))
@@ -834,24 +856,24 @@ def test_solve_complex_rejects_a_pair_on_two_patterns(assembled_cache, other):
 
 
 class _CountingLU:
-    """SuperLU proxy that counts solves and spoils the first ``spoil`` of them."""
+    """SuperLU proxy that counts solves and scales the first ``spoil`` of them by 1 + ``error``."""
 
-    def __init__(self, lu, spoil):
-        self.lu, self.spoil, self.solves = lu, int(spoil), 0
+    def __init__(self, lu, spoil, error):
+        self.lu, self.spoil, self.error, self.solves = lu, spoil, error, 0
 
     def solve(self, rhs, trans="N"):
         self.solves += 1
         x = self.lu.solve(rhs, trans=trans)
-        return x * (1.0 + 1e-3) if self.solves <= self.spoil else x
+        return x * (1.0 + self.error) if self.solves <= self.spoil else x
 
 
-def _spoil_splu(monkeypatch, spoil):
+def _spoil_splu(monkeypatch, spoil, error=1e-3):
     """Route fem's SuperLU factorizations through _CountingLU; returns the list of proxies."""
     made = []
     real_splu = fem._splu
 
     def splu(A):
-        made.append(_CountingLU(real_splu(A), spoil))
+        made.append(_CountingLU(real_splu(A), spoil, error))
         return made[-1]
 
     monkeypatch.setattr(fem, "_splu", splu)
@@ -861,13 +883,100 @@ def _spoil_splu(monkeypatch, spoil):
 @pytest.mark.parametrize("spoil, solves", [(False, 1), (True, 2)])
 def test_refinement_runs_only_when_residual_misses_contract(monkeypatch, assembled_cache,
                                                             spoil, solves):
+    # the real solves refine once, and only when the first residual misses 1e-10
+    msh, dm, M, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
+    made = _spoil_splu(monkeypatch, spoil)
+    b = np.ones(dm.n_dofs)
+    x = fem.solve_real_spd(S, b)
+    assert made[0].solves == solves
+    assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+# Solves measured on this system: the relative residual reads 1, 8.9e-6,
+# 6.8e-12 and 1.1e-14 before each solve and after the last, so the
+# single-precision factor takes two refinement steps to reach 1e-12; with
+# every solve spoiled by 1e-3, each step gains only that factor.
+@pytest.mark.parametrize("spoil, solves", [(0, 3), (math.inf, 5)])
+def test_node_solve_refines_until_the_residual_is_at_most_1e_12(monkeypatch, assembled_cache,
+                                                                spoil, solves):
     msh, dm, M, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
     made = _spoil_splu(monkeypatch, spoil)
     b = np.ones(dm.n_dofs, dtype=complex)
-    z = 2.0 + 3.0j
+    z = 1.0 + 1.0j
     x = fem.solve_complex_symmetric(z, M, S, b)
     assert made[0].solves == solves
-    assert np.linalg.norm((z * M + S) @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm((z * M + S) @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_node_solve_raises_when_a_step_fails_to_halve_the_residual(monkeypatch, assembled_cache):
+    # every solve returns twice its answer, so the first leaves the residual
+    # at -b, and refinement stops after that one solve
+    msh, dm, M, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
+    made = _spoil_splu(monkeypatch, math.inf, error=1.0)
+    with pytest.raises(fem.SolverError, match=r"complex symmetric solve: relative residual "
+                                              r"\S+ exceeds 1e-10 after 0 refinement steps$") as info:
+        fem.solve_complex_symmetric(2.0 + 3.0j, M, S, np.ones(dm.n_dofs, dtype=complex))
+    assert made[0].solves == 1
+    assert info.value.residual == pytest.approx(1.0, rel=1e-4)
+
+
+def _real_and_node_solve(kind, assembled_cache):
+    """The solve ``b -> x`` of ``kind``, real (S) or node (z^a M + S), on a small mixed system.
+
+    Returned with the size of its system.
+    """
+    msh, dm, M, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
+    if kind == "real":
+        return (lambda b: fem.solve_real_spd(S, b.real)), dm.n_dofs
+    return (lambda b: fem.solve_complex_symmetric((2.0 + 3.0j) ** 0.5, M, S, b)), dm.n_dofs
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("kind", ["real", "node"])
+def test_residual_contract_holds_at_any_scale_of_the_right_hand_side(monkeypatch,
+                                                                     assembled_cache, kind,
+                                                                     scale):
+    # unscaled, the norms of r and b under- or overflow alike, to 0 or inf,
+    # and a spoiled solve would pass: the real one ends 1e-6 off with both
+    # of its solves spoiled by 1e-3, the node one at 1 with each doubled
+    solve, n = _real_and_node_solve(kind, assembled_cache)
+    if kind == "real":
+        _spoil_splu(monkeypatch, 2)
+    else:
+        _spoil_splu(monkeypatch, math.inf, error=1.0)
+    with pytest.raises(fem.SolverError, match="exceeds 1e-10") as info:
+        solve(scale * np.ones(n, dtype=complex))
+    assert info.value.residual > 1e-10
+
+
+@pytest.mark.parametrize("kind", ["real", "node"])
+def test_a_zero_right_hand_side_gives_exact_zeros(assembled_cache, kind):
+    solve, n = _real_and_node_solve(kind, assembled_cache)
+    x = solve(np.zeros(n, dtype=complex))
+    assert x.dtype == (float if kind == "real" else complex)
+    assert np.array_equal(x, np.zeros(n))
+
+
+@pytest.mark.parametrize("kind", ["real", "node"])
+def test_a_tiny_right_hand_side_scales_the_solution(assembled_cache, kind):
+    solve, n = _real_and_node_solve(kind, assembled_cache)
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = solve(b)
+    assert np.linalg.norm(solve(1e-200 * b) / 1e-200 - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_node_solve_with_a_huge_coefficient_matches_default_lu(assembled_cache):
+    # |zalpha| = 1e40: the node matrix reaches about 1e38, near single
+    # precision's largest value, 3.4e38, before it is scaled
+    msh, dm, M, S = assembled_cache(2 ** -3, 3.0, fem.MIXED, 1.0)
+    za = 1e40 * np.exp(0.3j)
+    b = M @ np.random.default_rng(5).standard_normal(dm.n_dofs) + 0j
+    x = fem.solve_complex_symmetric(za, M, S, b)
+    A = za * M + S
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    ref = spla.splu(sp.csc_matrix(A)).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
 def test_project_raises_when_refinement_misses_contract(monkeypatch, mesh_cache):
